@@ -203,15 +203,14 @@ void IdleTaxAblation() {
     rta->task()->set_observer(&mon);
     TimeNs admitted_at = -1;
     for (int k = 0; k < 50; ++k) {
-      exp.sim().At(Ms(100) * k + 1, [&, k] {
-        if (!rta->task()->registered() && admitted_at < 0) {
-          if (tenant->SchedSetAttr(rta->task(), RtaParams{Ms(50), Ms(100)}) == kGuestOk) {
-            admitted_at = exp.sim().Now();
-            tenant->SchedUnregister(rta->task());
-            rta->Start(exp.sim().Now() + 1, Sec(10));
-          }
+      exp.Run(Ms(100) * k + 1);
+      if (!rta->task()->registered() && admitted_at < 0) {
+        if (tenant->SchedSetAttr(rta->task(), RtaParams{Ms(50), Ms(100)}) == kGuestOk) {
+          admitted_at = exp.sim().Now();
+          tenant->SchedUnregister(rta->task());
+          rta->Start(exp.sim().Now() + 1, Sec(10));
         }
-      });
+      }
     }
     exp.Run(Sec(10) + Ms(200));
     table.AddRow({tax ? "on" : "off", "0.80 CPUs (idle)",

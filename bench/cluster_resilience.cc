@@ -166,6 +166,34 @@ struct Workloads {
   }
 };
 
+// RTVIRT_CLUSTER_TRACE: prints one host's capacity, reservations and HIGH
+// tier progress every 500 ms of that host's simulated time. An event of the
+// host itself (not outside stepping), so the lines interleave across hosts
+// exactly as the federation's lock-step advance runs them.
+class TraceSampler : public EventOwner {
+ public:
+  TraceSampler(Experiment* exp, const Workloads* wl, int host) : exp_(exp), wl_(wl), host_(host) {
+    exp_->sim().After(Ms(500), {this});
+  }
+
+ private:
+  void OnEvent(uint32_t, uint64_t) override {
+    std::cout << "t=" << exp_->sim().Now() / Ms(1) << "ms host" << host_
+              << " cap=" << Cpus(exp_->machine().EffectiveCapacity())
+              << " resv=" << exp_->dpwrap()->total_reserved().ppb() / 1000000
+              << " pressure=" << exp_->dpwrap()->pressure()
+              << " hi=" << wl_->hi_mon.total_completed() << "/" << wl_->hi_mon.total_misses()
+              << "\n";
+    if (exp_->sim().Now() < kRunLength) {
+      exp_->sim().After(Ms(500), {this});
+    }
+  }
+
+  Experiment* exp_;
+  const Workloads* wl_;
+  int host_;
+};
+
 FaultPlan::HostFault Crash(int host, TimeNs at) {
   FaultPlan::HostFault f;
   f.kind = FaultPlan::HostFault::Kind::kCrash;
@@ -228,22 +256,10 @@ TimelineResult RunTimeline(Mode mode) {
     fed.AdmitVm(VmSpec("hi" + std::to_string(h), HiProfile(), hardened));
     fed.AdmitVm(VmSpec("lo" + std::to_string(h), LoProfile(), hardened));
   }
-  std::vector<std::function<void()>> samplers(kHosts);
+  std::vector<std::unique_ptr<TraceSampler>> samplers;
   if (std::getenv("RTVIRT_CLUSTER_TRACE") != nullptr && mode == Mode::kHardened) {
     for (int h = 0; h < kHosts; ++h) {
-      Experiment& exp = fed.host(h);
-      samplers[h] = [&exp, &wl, h, &samplers] {
-        std::cout << "t=" << exp.sim().Now() / Ms(1) << "ms host" << h
-                  << " cap=" << Cpus(exp.machine().EffectiveCapacity())
-                  << " resv=" << exp.dpwrap()->total_reserved().ppb() / 1000000
-                  << " pressure=" << exp.dpwrap()->pressure()
-                  << " hi=" << wl.hi_mon.total_completed() << "/"
-                  << wl.hi_mon.total_misses() << "\n";
-        if (exp.sim().Now() < kRunLength) {
-          exp.sim().After(Ms(500), samplers[h]);
-        }
-      };
-      exp.sim().After(Ms(500), samplers[h]);
+      samplers.push_back(std::make_unique<TraceSampler>(&fed.host(h), &wl, h));
     }
   }
   fed.Run(kRunLength);

@@ -39,7 +39,7 @@ constexpr int kHogVcpus = 8;
 // Demand follows the profile regardless of whether the sched_setattr was
 // admitted — exactly the situation where a transiently failed upward switch
 // leaves the task under-reserved.
-class AdaptiveRta {
+class AdaptiveRta : public EventOwner {
  public:
   AdaptiveRta(Experiment* exp, GuestOs* guest, std::string name, RtaParams lo, RtaParams hi)
       : exp_(exp), guest_(guest), task_(guest->CreateTask(std::move(name))), lo_(lo), hi_(hi),
@@ -47,9 +47,9 @@ class AdaptiveRta {
 
   void Start(TimeNs start, TimeNs stop) {
     stop_ = stop;
-    sim()->At(start, [this] { TryRegister(); });
-    sim()->At(start, [this] { ReleaseOne(); });
-    sim()->At(start + NextSwitchDelay(), [this] { DoSwitch(); });
+    sim()->At(start, {this, kRegister});
+    sim()->At(start, {this, kRelease});
+    sim()->At(start + NextSwitchDelay(), {this, kSwitch});
   }
 
   // Restart handler: the reborn guest kernel re-admits the task.
@@ -63,6 +63,22 @@ class AdaptiveRta {
   uint64_t failed_switches() const { return failed_switches_; }
 
  private:
+  enum Kind : uint32_t { kRegister, kRelease, kSwitch };
+
+  void OnEvent(uint32_t kind, uint64_t) override {
+    switch (kind) {
+      case kRegister:
+        TryRegister();
+        return;
+      case kRelease:
+        ReleaseOne();
+        return;
+      case kSwitch:
+        DoSwitch();
+        return;
+    }
+  }
+
   Simulator* sim() const { return guest_->vm()->machine()->sim(); }
   TimeNs NextSwitchDelay() { return exp_->rng().UniformTime(Ms(150), Ms(400)); }
 
@@ -73,7 +89,7 @@ class AdaptiveRta {
     // Registration is mandatory (the task cannot run without it), so the
     // app-level loop retries; parameter *switches* below are opportunistic.
     if (guest_->SchedSetAttr(task_, demand_) != kGuestOk) {
-      sim()->After(Ms(10), [this] { TryRegister(); });
+      sim()->After(Ms(10), {this, kRegister});
     }
   }
 
@@ -87,7 +103,7 @@ class AdaptiveRta {
         ++failed_switches_;  // Keeps the old reservation; demand rose anyway.
       }
     }
-    sim()->After(NextSwitchDelay(), [this] { DoSwitch(); });
+    sim()->After(NextSwitchDelay(), {this, kSwitch});
   }
 
   void ReleaseOne() {
@@ -102,7 +118,7 @@ class AdaptiveRta {
     if (task_->registered()) {
       guest_->ReleaseJob(task_, demand_.slice, now + demand_.period);
     }
-    sim()->After(demand_.period, [this] { ReleaseOne(); });
+    sim()->After(demand_.period, {this, kRelease});
   }
 
   Experiment* exp_;

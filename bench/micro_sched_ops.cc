@@ -24,8 +24,8 @@ void BM_EventQueueSchedulePop(benchmark::State& state) {
   EventQueue q;
   int64_t t = 0;
   for (auto _ : state) {
-    q.Schedule(t++, [] {});
-    q.Schedule(t + 100, [] {});
+    q.Schedule(t++, EventTag{});
+    q.Schedule(t + 100, EventTag{});
     benchmark::DoNotOptimize(q.PopNext());
   }
   state.SetItemsProcessed(state.iterations() * 2);
@@ -36,7 +36,7 @@ void BM_EventQueueCancel(benchmark::State& state) {
   EventQueue q;
   int64_t t = 0;
   for (auto _ : state) {
-    auto id = q.Schedule(t++, [] {});
+    auto id = q.Schedule(t++, EventTag{});
     q.Cancel(id);
     if (q.size() > 4096) {
       state.PauseTiming();

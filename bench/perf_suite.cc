@@ -3,21 +3,19 @@
 // schema-versioned BENCH_perf_suite.json that perf_gate diffs against the
 // committed baseline (see DESIGN.md §5 for the schema and re-baselining).
 //
-// Phases:
-//   * tab6_shape.{calendar,heap} — the Table 6 event pattern (periodic RTAs
-//     with Table 5 periods, a budget timer per release that the next release
+// Phases (the event queue is a calendar queue, hence the "calendar" names):
+//   * tab6_shape.calendar — the Table 6 event pattern (periodic RTAs with
+//     Table 5 periods, a budget timer per release that the next release
 //     cancels) driven through the raw EventQueue, swept over the Table 6
-//     scales (100 / 1000 / 10000 timers, equal pops each). This is the pure
-//     event-core measurement: the calendar backend must clear 5x the heap's
-//     events/sec across the sweep and must allocate nothing after warm-up
-//     (hard assert).
-//   * cancel_churn.{calendar,heap} — schedule+cancel pairs over a live set,
-//     the pattern that used to grow the heap without bound.
-//   * sched_op.{calendar,heap} — bare schedule+pop round trips.
+//     scales (100 / 1000 / 10000 / 100000 timers, equal pops each). This is
+//     the pure event-core measurement; it must allocate nothing after
+//     warm-up (hard assert).
+//   * cancel_churn.calendar — schedule+cancel pairs over a live set.
+//   * sched_op.calendar — bare schedule+pop round trips.
 //   * replan — the BM_DpWrapGlobalSlice shape (100 reserved VCPUs, 1 ms
 //     global slices) measuring wall-clock ns per DP-WRAP replan.
-//   * tab6_sim.{calendar,heap} — the full single-RTA-VMs experiment at
-//     reduced duration, measuring end-to-end simulated events/sec + peak RSS.
+//   * tab6_sim.calendar — the full single-RTA-VMs experiment at reduced
+//     duration, measuring end-to-end simulated events/sec + peak RSS.
 //
 // Flags: --out=PATH (default BENCH_perf_suite.json), --scale=F (work
 // multiplier for quick local runs; the committed baseline uses 1.0).
@@ -47,26 +45,24 @@ using perf::PerfReport;
 using perf::PhaseResult;
 
 // The Table 6 scale sweep: timer counts matching the paper's small / mid /
-// large VM populations. The heap's O(log n) sift cost grows down this list
-// while the calendar stays O(1), which is exactly the scalability argument.
+// large VM populations. The calendar's pop and insert stay O(1) down this
+// list, which is exactly the scalability argument.
 constexpr int kShapeSweep[] = {100, 1000, 10000, 100000};
 
 // The Table 6 event pattern on a raw queue: every release pop reschedules
 // itself one period out, schedules a budget-enforcement timer just past the
 // next release, and cancels the previous budget timer (which therefore never
 // fires — the dominant cancel pattern of the VCPU budget machinery).
-// Callbacks capture (ShapeSim*, int) — 12 bytes, inside std::function's
-// small-object buffer, so the steady state allocates nothing.
-class ShapeSim {
+// Events are tags (this, kind, timer index), so nothing allocates per event.
+class ShapeSim : public EventOwner {
  public:
-  ShapeSim(EventQueueKind kind, int timers) : q_(kind) {
+  explicit ShapeSim(int timers) {
     timers_.resize(static_cast<size_t>(timers));
     for (int i = 0; i < timers; ++i) {
       timers_[static_cast<size_t>(i)].period =
           kTable5Groups[static_cast<size_t>(i) % kTable5Groups.size()].period;
-      ShapeSim* self = this;
       q_.Schedule(timers_[static_cast<size_t>(i)].period * (i + 1) / timers,
-                  [self, i] { self->OnRelease(i); });
+                  {this, kRelease, static_cast<uint64_t>(i)});
     }
   }
 
@@ -76,7 +72,7 @@ class ShapeSim {
     for (uint64_t k = 0; k < pops; ++k) {
       EventQueue::Fired fired = q_.PopNext();
       now_ = fired.time;
-      fired.callback();
+      fired.tag.owner->OnEvent(fired.tag.kind, fired.tag.payload);
       ops += 4;  // The pop, the cancel, and the two schedules it triggered.
     }
     return ops;
@@ -85,17 +81,18 @@ class ShapeSim {
   const EventQueue& queue() const { return q_; }
 
  private:
+  enum Kind : uint32_t { kRelease, kBudget };
   struct Timer {
     TimeNs period = 0;
     EventQueue::EventId budget;
   };
 
-  void OnRelease(int i) {
-    Timer& t = timers_[static_cast<size_t>(i)];
+  // Only releases fire: every budget timer is cancelled by the next release.
+  void OnEvent(uint32_t, uint64_t i) override {
+    Timer& t = timers_[i];
     q_.Cancel(t.budget);
-    t.budget = q_.Schedule(now_ + t.period + kNsPerUs, [] {});
-    ShapeSim* self = this;
-    q_.Schedule(now_ + t.period, [self, i] { self->OnRelease(i); });
+    t.budget = q_.Schedule(now_ + t.period + kNsPerUs, {this, kBudget, i});
+    q_.Schedule(now_ + t.period, {this, kRelease, i});
   }
 
   EventQueue q_;
@@ -103,17 +100,13 @@ class ShapeSim {
   std::vector<Timer> timers_;
 };
 
-const char* KindName(EventQueueKind kind) {
-  return kind == EventQueueKind::kCalendar ? "calendar" : "heap";
-}
-
-PhaseResult RunTab6Shape(PerfRecorder& rec, EventQueueKind kind, uint64_t pops_per_scale) {
+PhaseResult RunTab6Shape(PerfRecorder& rec, uint64_t pops_per_scale) {
   // Build and warm every scale before the measured window opens: each sim
   // must have fired all timers at least once (budget ids populated, arena
   // chunks carved, calendar resizes settled) so the window is steady state.
   std::vector<std::unique_ptr<ShapeSim>> sims;
   for (int timers : kShapeSweep) {
-    sims.push_back(std::make_unique<ShapeSim>(kind, timers));
+    sims.push_back(std::make_unique<ShapeSim>(timers));
     sims.back()->Pump(std::max<uint64_t>(4 * static_cast<uint64_t>(timers),
                                          pops_per_scale / 10));
   }
@@ -121,7 +114,7 @@ PhaseResult RunTab6Shape(PerfRecorder& rec, EventQueueKind kind, uint64_t pops_p
   for (int timers : kShapeSweep) {
     scale_keys.push_back("ns_per_pop.n" + std::to_string(timers));
   }
-  rec.Begin(std::string("tab6_shape.") + KindName(kind));
+  rec.Begin("tab6_shape.calendar");
   uint64_t ops = 0;
   for (size_t s = 0; s < sims.size(); ++s) {
     uint64_t t0 = perf::MonotonicNowNs();
@@ -133,37 +126,37 @@ PhaseResult RunTab6Shape(PerfRecorder& rec, EventQueueKind kind, uint64_t pops_p
   return rec.End(ops);
 }
 
-PhaseResult RunCancelChurn(PerfRecorder& rec, EventQueueKind kind, uint64_t iters) {
-  EventQueue q(kind);
+PhaseResult RunCancelChurn(PerfRecorder& rec, uint64_t iters) {
+  EventQueue q;
   TimeNs t = 0;
   for (int i = 0; i < 128; ++i) {
-    q.Schedule(++t + Ms(1), [] {});  // A live set the churn runs against.
+    q.Schedule(++t + Ms(1), EventTag{});  // A live set the churn runs against.
   }
   for (uint64_t k = 0; k < iters / 8; ++k) {  // Warm the arena/freelist.
-    EventQueue::EventId id = q.Schedule(++t, [] {});
+    EventQueue::EventId id = q.Schedule(++t, EventTag{});
     q.Cancel(id);
   }
-  rec.Begin(std::string("cancel_churn.") + KindName(kind));
+  rec.Begin("cancel_churn.calendar");
   for (uint64_t k = 0; k < iters; ++k) {
-    EventQueue::EventId id = q.Schedule(++t, [] {});
+    EventQueue::EventId id = q.Schedule(++t, EventTag{});
     q.Cancel(id);
   }
   return rec.End(iters * 2);
 }
 
-PhaseResult RunSchedOp(PerfRecorder& rec, EventQueueKind kind, uint64_t iters) {
-  EventQueue q(kind);
+PhaseResult RunSchedOp(PerfRecorder& rec, uint64_t iters) {
+  EventQueue q;
   TimeNs t = 0;
   for (int i = 0; i < 128; ++i) {
-    q.Schedule(++t + Us(100), [] {});
+    q.Schedule(++t + Us(100), EventTag{});
   }
   for (uint64_t k = 0; k < iters / 8; ++k) {  // Warm-up.
-    q.Schedule(++t + Us(100), [] {});
+    q.Schedule(++t + Us(100), EventTag{});
     q.PopNext();
   }
-  rec.Begin(std::string("sched_op.") + KindName(kind));
+  rec.Begin("sched_op.calendar");
   for (uint64_t k = 0; k < iters; ++k) {
-    q.Schedule(++t + Us(100), [] {});
+    q.Schedule(++t + Us(100), EventTag{});
     q.PopNext();
   }
   return rec.End(iters * 2);
@@ -198,11 +191,10 @@ PhaseResult RunReplan(PerfRecorder& rec, int iters) {
 
 // The Table 6 single-RTA-VMs scenario end to end (100 VMs, RTVirt), at a
 // CI-friendly duration. Ops = simulator events processed.
-PhaseResult RunTab6Sim(PerfRecorder& rec, EventQueueKind kind, TimeNs duration) {
+PhaseResult RunTab6Sim(PerfRecorder& rec, TimeNs duration) {
   ExperimentConfig cfg;
   cfg.framework = Framework::kRtvirt;
   cfg.machine.num_pcpus = 15;
-  cfg.sim.event_queue = kind;
   Experiment exp(cfg);
   std::vector<std::unique_ptr<PeriodicRta>> rtas;
   int vm = 0;
@@ -213,7 +205,7 @@ PhaseResult RunTab6Sim(PerfRecorder& rec, EventQueueKind kind, TimeNs duration) 
       rtas.back()->Start(0, duration);
     }
   }
-  rec.Begin(std::string("tab6_sim.") + KindName(kind));
+  rec.Begin("tab6_sim.calendar");
   exp.Run(duration + Ms(500));
   uint64_t events = exp.sim().events_processed();
   rec.Count("sim_events", static_cast<double>(events));
@@ -249,15 +241,11 @@ int Run(int argc, char** argv) {
   PerfRecorder rec;
   std::printf("perf_suite: event-core + DP-WRAP measurement (scale %.2f)\n", scale);
 
-  PhaseResult shape_cal = RunTab6Shape(rec, EventQueueKind::kCalendar, scaled(400000));
-  PhaseResult shape_heap = RunTab6Shape(rec, EventQueueKind::kHeap, scaled(400000));
-  PhaseResult churn_cal = RunCancelChurn(rec, EventQueueKind::kCalendar, scaled(2000000));
-  PhaseResult churn_heap = RunCancelChurn(rec, EventQueueKind::kHeap, scaled(2000000));
-  PhaseResult sched_cal = RunSchedOp(rec, EventQueueKind::kCalendar, scaled(2000000));
-  PhaseResult sched_heap = RunSchedOp(rec, EventQueueKind::kHeap, scaled(2000000));
+  PhaseResult shape = RunTab6Shape(rec, scaled(400000));
+  PhaseResult churn = RunCancelChurn(rec, scaled(2000000));
+  PhaseResult sched = RunSchedOp(rec, scaled(2000000));
   PhaseResult replan = RunReplan(rec, static_cast<int>(scaled(300)));
-  PhaseResult sim_cal = RunTab6Sim(rec, EventQueueKind::kCalendar, Sec(2));
-  PhaseResult sim_heap = RunTab6Sim(rec, EventQueueKind::kHeap, Sec(2));
+  PhaseResult sim = RunTab6Sim(rec, Sec(2));
   uint64_t peak_rss = perf::PeakRssKb();
 
   for (const PhaseResult& p : rec.phases()) {
@@ -267,21 +255,15 @@ int Run(int argc, char** argv) {
   }
 
   // Event throughput: popped events per wall second on the tab6 shape.
-  double cal_eps = shape_cal.counters.at("pops") * 1e9 / static_cast<double>(shape_cal.wall_ns);
-  double heap_eps = shape_heap.counters.at("pops") * 1e9 / static_cast<double>(shape_heap.wall_ns);
-  double speedup = heap_eps > 0 ? cal_eps / heap_eps : 0;
+  double eps = shape.counters.at("pops") * 1e9 / static_cast<double>(shape.wall_ns);
   double replan_ns = replan.NsPerOp();
-  std::printf("  tab6_shape events/sec: calendar %.0f, heap %.0f — speedup %.2fx\n",
-              cal_eps, heap_eps, speedup);
+  std::printf("  tab6_shape events/sec: %.0f\n", eps);
   for (int timers : kShapeSweep) {
     std::string key = "ns_per_pop.n" + std::to_string(timers);
-    std::printf("    n=%-6d calendar %7.1f ns/pop, heap %7.1f ns/pop\n", timers,
-                shape_cal.counters.at(key), shape_heap.counters.at(key));
+    std::printf("    n=%-6d %7.1f ns/pop\n", timers, shape.counters.at(key));
   }
-  std::printf("  replan: %.0f ns/replan; tab6_sim: %.0f ev/s (calendar) vs %.0f ev/s "
-              "(heap); peak RSS %llu KiB\n",
-              replan_ns, sim_cal.OpsPerSec(), sim_heap.OpsPerSec(),
-              static_cast<unsigned long long>(peak_rss));
+  std::printf("  replan: %.0f ns/replan; tab6_sim: %.0f ev/s; peak RSS %llu KiB\n", replan_ns,
+              sim.OpsPerSec(), static_cast<unsigned long long>(peak_rss));
 
   PerfReport report;
   report.suite = "perf_suite";
@@ -290,23 +272,14 @@ int Run(int argc, char** argv) {
 #else
   report.meta["build"] = "asserts-on";
 #endif
-  report.Add("tab6_shape.calendar.events_per_sec", cal_eps, "events/s", true, 0.40);
-  report.Add("tab6_shape.calendar.ns_per_op", shape_cal.NsPerOp(), "ns", false, 0.40);
-  report.Add("tab6_shape.calendar.steady_allocs_per_op", shape_cal.AllocsPerOp(),
-             "allocs/op", false, 0.0);
-  report.Add("tab6_shape.heap.events_per_sec", heap_eps, "events/s", true, 0.40);
-  report.Add("tab6_shape.heap.allocs_per_op", shape_heap.AllocsPerOp(), "allocs/op",
-             false, 0.50);
-  report.Add("tab6_shape.speedup", speedup, "x", true, 0.30);
-  report.Add("cancel_churn.calendar.ns_per_op", churn_cal.NsPerOp(), "ns", false, 0.40);
-  report.Add("cancel_churn.heap.ns_per_op", churn_heap.NsPerOp(), "ns", false, 0.40);
-  report.Add("sched_op.calendar.ns_per_op", sched_cal.NsPerOp(), "ns", false, 0.40);
-  report.Add("sched_op.heap.ns_per_op", sched_heap.NsPerOp(), "ns", false, 0.40);
+  report.Add("tab6_shape.calendar.events_per_sec", eps, "events/s", true, 0.40);
+  report.Add("tab6_shape.calendar.ns_per_op", shape.NsPerOp(), "ns", false, 0.40);
+  report.Add("tab6_shape.calendar.steady_allocs_per_op", shape.AllocsPerOp(), "allocs/op",
+             false, 0.0);
+  report.Add("cancel_churn.calendar.ns_per_op", churn.NsPerOp(), "ns", false, 0.40);
+  report.Add("sched_op.calendar.ns_per_op", sched.NsPerOp(), "ns", false, 0.40);
   report.Add("replan.ns_per_replan", replan_ns, "ns", false, 0.50);
-  // No calendar-vs-heap ratio for the full-sim phase: the event queue is a
-  // small slice of its runtime, so the ratio of two short runs is runner
-  // noise, not signal (the raw-queue tab6_shape.speedup is the honest one).
-  report.Add("tab6_sim.events_per_sec", sim_cal.OpsPerSec(), "events/s", true, 0.50);
+  report.Add("tab6_sim.events_per_sec", sim.OpsPerSec(), "events/s", true, 0.50);
   report.Add("peak_rss_kb", static_cast<double>(peak_rss), "KiB", false, 0.75);
   if (!report.WriteFile(out_path)) {
     return 1;
@@ -316,18 +289,14 @@ int Run(int argc, char** argv) {
 
   // The zero-alloc steady state is an invariant, not a perf number: fail the
   // run outright if the measured window allocated at all.
-  if (shape_cal.allocs != 0) {
+  if (shape.allocs != 0) {
     std::fprintf(stderr,
                  "perf_suite: FAIL — calendar steady state performed %llu allocations "
                  "(%llu bytes) over %llu ops; expected zero\n",
-                 static_cast<unsigned long long>(shape_cal.allocs),
-                 static_cast<unsigned long long>(shape_cal.alloc_bytes),
-                 static_cast<unsigned long long>(shape_cal.ops));
+                 static_cast<unsigned long long>(shape.allocs),
+                 static_cast<unsigned long long>(shape.alloc_bytes),
+                 static_cast<unsigned long long>(shape.ops));
     return 1;
-  }
-  if (speedup < 5.0) {
-    std::printf("perf_suite: note — tab6_shape speedup %.2fx is below the 5x target "
-                "(gated against the baseline, not here)\n", speedup);
   }
   return 0;
 }

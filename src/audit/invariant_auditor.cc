@@ -22,12 +22,12 @@ void InvariantAuditor::Arm() {
   if (!config_.enabled) {
     return;
   }
-  machine_->sim()->After(config_.period, [this] { Tick(); });
+  machine_->sim()->After(config_.period, {this});
 }
 
 void InvariantAuditor::Tick() {
   CheckNow();
-  machine_->sim()->After(config_.period, [this] { Tick(); });
+  machine_->sim()->After(config_.period, {this});
 }
 
 void InvariantAuditor::Record(const char* invariant, std::string detail) {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/event_queue.h"
 
 namespace rtvirt {
 
@@ -59,7 +60,7 @@ struct AuditViolation {
   std::string detail;      // Human-readable diagnostic.
 };
 
-class InvariantAuditor {
+class InvariantAuditor : public EventOwner {
  public:
   // `dpwrap` may be null (baseline host schedulers): host-side and bridge
   // checks are skipped and only watched guests are audited.
@@ -90,6 +91,7 @@ class InvariantAuditor {
     RtvirtGuestChannel* channel = nullptr;
   };
 
+  void OnEvent(uint32_t, uint64_t) override { Tick(); }
   void Tick();
   void Record(const char* invariant, std::string detail);
 

@@ -41,7 +41,7 @@ struct CreditConfig {
   TimeNs dispatch_cost = Us(60);
 };
 
-class CreditScheduler : public HostScheduler {
+class CreditScheduler : public HostScheduler, public EventOwner {
  public:
   explicit CreditScheduler(CreditConfig config = {});
 
@@ -77,6 +77,11 @@ class CreditScheduler : public HostScheduler {
     bool capped_out = false;     // Hit the cap; parked until accounting.
   };
 
+  enum EventKind : uint32_t {
+    kEvAccounting = 1,
+    kEvTick = 2,  // Payload = pcpu id.
+  };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void Accounting();
   void Tick(int pcpu_id);
   int TotalWeight() const;

@@ -15,16 +15,24 @@ void ServerEdfScheduler::Attach(Machine* machine) {
     // Quantum-driven: every PCPU re-enters schedule() each quantum.
     quantum_ticks_.resize(machine_->num_pcpus());
     for (int i = 0; i < machine_->num_pcpus(); ++i) {
-      quantum_ticks_[i] =
-          machine_->sim()->After(config_.quantum, [this, i] { QuantumTick(i); });
+      quantum_ticks_[i] = machine_->sim()->After(
+          config_.quantum, {this, kEvQuantumTick, static_cast<uint64_t>(i)});
     }
+  }
+}
+
+void ServerEdfScheduler::OnEvent(uint32_t kind, uint64_t payload) {
+  if (kind == kEvQuantumTick) {
+    QuantumTick(static_cast<int>(payload));
+  } else {
+    Replenish(reinterpret_cast<Vcpu*>(static_cast<uintptr_t>(payload)));
   }
 }
 
 void ServerEdfScheduler::QuantumTick(int pcpu_id) {
   machine_->pcpu(pcpu_id)->RequestReschedule();
-  quantum_ticks_[pcpu_id] =
-      machine_->sim()->After(config_.quantum, [this, pcpu_id] { QuantumTick(pcpu_id); });
+  quantum_ticks_[pcpu_id] = machine_->sim()->After(
+      config_.quantum, {this, kEvQuantumTick, static_cast<uint64_t>(pcpu_id)});
 }
 
 void ServerEdfScheduler::VcpuInserted(Vcpu* vcpu) { all_vcpus_.push_back(vcpu); }
@@ -59,7 +67,8 @@ void ServerEdfScheduler::Replenish(Vcpu* vcpu) {
   // leftovers (deferrable) are preserved but never exceed one budget.
   s.budget = std::min(s.params.budget, s.budget + s.params.budget);
   s.deadline = now + s.params.period;
-  s.replenish_event = machine_->sim()->After(s.params.period, [this, vcpu] { Replenish(vcpu); });
+  s.replenish_event = machine_->sim()->After(
+      s.params.period, {this, kEvReplenish, reinterpret_cast<uintptr_t>(vcpu)});
   if (vcpu->runnable() || vcpu->running()) {
     TickleFor(vcpu);
   }

@@ -42,7 +42,7 @@ struct ServerEdfConfig {
   TimeNs quantum = 0;
 };
 
-class ServerEdfScheduler : public HostScheduler {
+class ServerEdfScheduler : public HostScheduler, public EventOwner {
  public:
   explicit ServerEdfScheduler(ServerEdfConfig config = {});
 
@@ -69,6 +69,11 @@ class ServerEdfScheduler : public HostScheduler {
     Simulator::EventId replenish_event;
   };
 
+  enum EventKind : uint32_t {
+    kEvQuantumTick = 1,  // Payload = pcpu id.
+    kEvReplenish = 2,    // Payload = the Vcpu's address (never checkpointed).
+  };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void Replenish(Vcpu* vcpu);
   void QuantumTick(int pcpu_id);
   // Preempt the PCPU running the lowest-priority work if `vcpu` beats it.

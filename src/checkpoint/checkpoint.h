@@ -3,13 +3,13 @@
 //
 // A checkpoint is an Image: an ordered list of named sections, one per
 // registered component plus the Experiment-owned "sim" / "rng" / "events"
-// sections. Closures in the event queue are never serialized; instead every
-// checkpointable schedule site tags its events with (owner, kind, payload),
-// where owner = Fnv1a64(section name), and restore re-creates the callbacks
-// by dispatching (kind, payload, when) back to the owning component's
-// RebindEvent hook. The header stays dependency-free (header-only Writer /
+// sections. An event is its tag (owner, kind, payload), so the "events"
+// section is the queue itself: each pending event is saved as
+// (Fnv1a64(owner's section name), kind, payload, time), and restore
+// re-inserts it and hands the component its new EventId through AdoptEvent.
+// The header stays free of link-time dependencies (header-only Writer /
 // Reader / hashes) so hypervisor and guest components can implement
-// Checkpointable without new link-time dependencies.
+// Checkpointable without new libraries.
 
 #ifndef SRC_CHECKPOINT_CHECKPOINT_H_
 #define SRC_CHECKPOINT_CHECKPOINT_H_
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/event_queue.h"
 
 namespace rtvirt {
 namespace ckpt {
@@ -146,17 +147,19 @@ class Reader {
 // ---------------------------------------------------------------------------
 // Component interface.
 
-// One per stateful component. SaveState/RestoreState move the component's
-// fields; RebindEvent re-creates one live event that this component had
-// scheduled (identified by the kind/payload recorded in its EventTag) at
-// virtual time `when`. Restore hooks return an empty string on success or a
-// loud error naming what went wrong; they must not partially apply.
-class Checkpointable {
+// One per stateful component; it owns the events it schedules.
+// SaveState/RestoreState move the component's fields. On restore the
+// experiment re-inserts each saved event of this component with the
+// component as owner, then calls AdoptEvent, which checks that (kind,
+// payload) is one this component schedules and stores `id` wherever the
+// component keeps a handle to such an event. Restore hooks return an empty
+// string on success or a loud error naming what went wrong.
+class Checkpointable : public EventOwner {
  public:
   virtual ~Checkpointable() = default;
   virtual void SaveState(Writer& w) const = 0;
   virtual std::string RestoreState(Reader& r) = 0;
-  virtual std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) = 0;
+  virtual std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) = 0;
 };
 
 // ---------------------------------------------------------------------------

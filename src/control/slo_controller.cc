@@ -40,7 +40,7 @@ void SloController::Arm() {
     return;
   }
   armed_ = true;
-  sim_->After(config_.decision_period, [this] { Tick(); });
+  sim_->After(config_.decision_period, {this});
 }
 
 void SloController::OnJobCompleted(const Task& task, const Job& job, TimeNs completion) {
@@ -149,7 +149,7 @@ void SloController::Tick() {
   for (Tenant& t : tenants_) {
     Decide(t, now);
   }
-  sim_->After(config_.decision_period, [this] { Tick(); });
+  sim_->After(config_.decision_period, {this});
 }
 
 void SloController::Decide(Tenant& t, TimeNs now) {

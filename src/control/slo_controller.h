@@ -131,7 +131,7 @@ struct ControlStats {
   uint64_t reengages = 0;            // Frozen -> engaged transitions.
 };
 
-class SloController : public JobObserver {
+class SloController : public JobObserver, public EventOwner {
  public:
   SloController(Simulator* sim, ControlConfig config);
 
@@ -205,6 +205,7 @@ class SloController : public JobObserver {
     explicit Tenant(const WindowedQuantile::Options& w) : window(w) {}
   };
 
+  void OnEvent(uint32_t, uint64_t) override { Tick(); }
   void Tick();
   void Decide(Tenant& t, TimeNs now);
   // True when the tenant's pinned VCPU has a healthy (non-degraded) channel.

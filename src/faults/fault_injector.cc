@@ -238,32 +238,30 @@ void FaultInjector::Arm() {
   Simulator* sim = machine_->sim();
   for (size_t i = 0; i < plan_.vm_failures.size(); ++i) {
     const FaultPlan::VmFailure& f = plan_.vm_failures[i];
-    sim->At(f.crash_at, Tag(kEvVmCrash, i), [this, i] { FireVmCrash(i); });
+    sim->At(f.crash_at, {this, kEvVmCrash, i});
     if (f.restart_at < kTimeNever) {
-      sim->At(f.restart_at, Tag(kEvVmRestart, i), [this, i] { FireVmRestart(i); });
+      sim->At(f.restart_at, {this, kEvVmRestart, i});
     }
   }
   for (size_t i = 0; i < plan_.pcpu_faults.size(); ++i) {
     const FaultPlan::PcpuFault& f = plan_.pcpu_faults[i];
-    sim->At(f.at, Tag(kEvPcpuFaultStart, i), [this, i] { FirePcpuFaultStart(i); });
+    sim->At(f.at, {this, kEvPcpuFaultStart, i});
     bool has_end = f.kind == FaultPlan::PcpuFault::Kind::kTransientOffline ||
                    (f.kind == FaultPlan::PcpuFault::Kind::kDegrade && f.until < kTimeNever);
     if (has_end) {
-      sim->At(f.until, Tag(kEvPcpuFaultEnd, i), [this, i] { FirePcpuFaultEnd(i); });
+      sim->At(f.until, {this, kEvPcpuFaultEnd, i});
     }
   }
   for (size_t i = 0; i < plan_.adversarial_guests.size(); ++i) {
-    sim->At(plan_.adversarial_guests[i].start,
-            Tag(kEvAdversaryTick, static_cast<uint64_t>(i) << 32),
-            [this, i] { AdversaryTick(i, 0); });
+    sim->At(plan_.adversarial_guests[i].start, {this, kEvAdversaryTick, uint64_t{i} << 32});
   }
   for (size_t i = 0; i < plan_.control_faults.size(); ++i) {
     const FaultPlan::ControlFault& f = plan_.control_faults[i];
     if (f.kind != FaultPlan::ControlFault::Kind::kStalePage) {
       continue;  // kChannelOutage is evaluated per call in OnHypercall.
     }
-    sim->At(f.at, Tag(kEvControlStaleStart, i), [this, i] { FireControlStaleStart(i); });
-    sim->At(f.until, Tag(kEvControlStaleEnd, i), [this, i] { FireControlStaleEnd(i); });
+    sim->At(f.at, {this, kEvControlStaleStart, i});
+    sim->At(f.until, {this, kEvControlStaleEnd, i});
   }
 }
 
@@ -395,8 +393,7 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
     }
   }
   sim->After(a.period,
-             Tag(kEvAdversaryTick, (static_cast<uint64_t>(idx) << 32) | (step + 1)),
-             [this, idx, step] { AdversaryTick(idx, step + 1); });
+             {this, kEvAdversaryTick, (static_cast<uint64_t>(idx) << 32) | (step + 1)});
 }
 
 void FaultInjector::SaveState(ckpt::Writer& w) const {
@@ -444,68 +441,70 @@ std::string FaultInjector::RestoreState(ckpt::Reader& r) {
   }
   // Re-arm the synchronous paths only: the interceptor is per-process state
   // the checkpoint cannot carry, while the planned events come back through
-  // rebind and the page visibility delay through the machine section (so the
-  // Arm()-time SetVisibilityDelay must NOT run again — it would clobber an
-  // in-progress stale-page window).
+  // the events section and the page visibility delay through the machine
+  // section (so the Arm()-time SetVisibilityDelay must NOT run again — it
+  // would clobber an in-progress stale-page window).
   machine_->SetHypercallInterceptor(
       [this](Vcpu* caller, const HypercallArgs& args) { return OnHypercall(caller, args); });
   armed_ = true;
   return "";
 }
 
-std::string FaultInjector::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
-  Simulator* sim = machine_->sim();
+void FaultInjector::OnEvent(uint32_t kind, uint64_t payload) {
   switch (kind) {
     case kEvVmCrash:
-    case kEvVmRestart: {
-      size_t i = payload;
-      if (i >= plan_.vm_failures.size()) {
-        return "faults: event references unknown vm_failures entry " + std::to_string(i);
-      }
-      if (kind == kEvVmCrash) {
-        sim->At(when, Tag(kEvVmCrash, i), [this, i] { FireVmCrash(i); });
-      } else {
-        sim->At(when, Tag(kEvVmRestart, i), [this, i] { FireVmRestart(i); });
-      }
-      return "";
-    }
+      FireVmCrash(payload);
+      return;
+    case kEvVmRestart:
+      FireVmRestart(payload);
+      return;
     case kEvPcpuFaultStart:
-    case kEvPcpuFaultEnd: {
-      size_t i = payload;
-      if (i >= plan_.pcpu_faults.size()) {
-        return "faults: event references unknown pcpu_faults entry " + std::to_string(i);
-      }
-      if (kind == kEvPcpuFaultStart) {
-        sim->At(when, Tag(kEvPcpuFaultStart, i), [this, i] { FirePcpuFaultStart(i); });
-      } else {
-        sim->At(when, Tag(kEvPcpuFaultEnd, i), [this, i] { FirePcpuFaultEnd(i); });
-      }
-      return "";
-    }
-    case kEvAdversaryTick: {
-      size_t idx = payload >> 32;
-      uint64_t step = payload & 0xffffffffull;
-      if (idx >= plan_.adversarial_guests.size()) {
-        return "faults: event references unknown adversarial campaign " +
-               std::to_string(idx);
-      }
-      sim->At(when, Tag(kEvAdversaryTick, payload),
-              [this, idx, step] { AdversaryTick(idx, step); });
-      return "";
-    }
+      FirePcpuFaultStart(payload);
+      return;
+    case kEvPcpuFaultEnd:
+      FirePcpuFaultEnd(payload);
+      return;
+    case kEvAdversaryTick:
+      AdversaryTick(payload >> 32, payload & 0xffffffffull);
+      return;
     case kEvControlStaleStart:
-    case kEvControlStaleEnd: {
-      size_t i = payload;
-      if (i >= plan_.control_faults.size()) {
-        return "faults: event references unknown control_faults entry " + std::to_string(i);
-      }
-      if (kind == kEvControlStaleStart) {
-        sim->At(when, Tag(kEvControlStaleStart, i), [this, i] { FireControlStaleStart(i); });
-      } else {
-        sim->At(when, Tag(kEvControlStaleEnd, i), [this, i] { FireControlStaleEnd(i); });
+      FireControlStaleStart(payload);
+      return;
+    case kEvControlStaleEnd:
+      FireControlStaleEnd(payload);
+      return;
+  }
+}
+
+std::string FaultInjector::AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId) {
+  // Planned events are never cancelled, so there is no handle to store; only
+  // the plan index the payload names needs checking.
+  switch (kind) {
+    case kEvVmCrash:
+    case kEvVmRestart:
+      if (payload >= plan_.vm_failures.size()) {
+        return "faults: event references unknown vm_failures entry " + std::to_string(payload);
       }
       return "";
-    }
+    case kEvPcpuFaultStart:
+    case kEvPcpuFaultEnd:
+      if (payload >= plan_.pcpu_faults.size()) {
+        return "faults: event references unknown pcpu_faults entry " + std::to_string(payload);
+      }
+      return "";
+    case kEvAdversaryTick:
+      if ((payload >> 32) >= plan_.adversarial_guests.size()) {
+        return "faults: event references unknown adversarial campaign " +
+               std::to_string(payload >> 32);
+      }
+      return "";
+    case kEvControlStaleStart:
+    case kEvControlStaleEnd:
+      if (payload >= plan_.control_faults.size()) {
+        return "faults: event references unknown control_faults entry " +
+               std::to_string(payload);
+      }
+      return "";
   }
   return "faults: unknown event kind " + std::to_string(kind);
 }

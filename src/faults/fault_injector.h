@@ -233,10 +233,8 @@ class FaultInjector : public ckpt::Checkpointable {
 
   // ---- Checkpointing (src/checkpoint) ----
   // Every planned event is identified by its index into the (identical-by-
-  // construction) FaultPlan, so restore re-creates the exact callback from
-  // the plan rather than serializing closures.
+  // construction) FaultPlan, so its tag alone says what it does.
   static constexpr const char* kCkptSection = "faults";
-  uint64_t ckpt_owner() const { return ckpt_owner_; }
   enum CkptEventKind : uint32_t {
     kEvVmCrash = 1,           // Payload = vm_failures index.
     kEvVmRestart = 2,         // Payload = vm_failures index.
@@ -248,7 +246,8 @@ class FaultInjector : public ckpt::Checkpointable {
   };
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+  std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) override;
 
  private:
   Machine::HypercallFault OnHypercall(Vcpu* caller, const HypercallArgs& args);
@@ -259,8 +258,7 @@ class FaultInjector : public ckpt::Checkpointable {
   // alternation (lie flavors, thrash direction) without touching the RNG.
   void AdversaryTick(size_t idx, uint64_t step);
 
-  // Planned-event bodies, indexed into the FaultPlan (shared by Arm() and
-  // checkpoint rebind).
+  // Planned-event bodies, indexed into the FaultPlan.
   void FireVmCrash(size_t i);
   void FireVmRestart(size_t i);
   void FirePcpuFaultStart(size_t i);
@@ -268,9 +266,6 @@ class FaultInjector : public ckpt::Checkpointable {
   void FireControlStaleStart(size_t i);
   void FireControlStaleEnd(size_t i);
 
-  EventTag Tag(uint32_t kind, uint64_t payload) const {
-    return EventTag{ckpt_owner_, kind, payload};
-  }
 
   Machine* machine_;
   FaultPlan plan_;
@@ -279,7 +274,6 @@ class FaultInjector : public ckpt::Checkpointable {
   std::vector<VmHandler> crash_handlers_;
   std::vector<VmHandler> restart_handlers_;
   bool armed_ = false;
-  uint64_t ckpt_owner_ = ckpt::Fnv1a64(kCkptSection);
 };
 
 }  // namespace rtvirt

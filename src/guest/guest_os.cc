@@ -8,9 +8,8 @@
 namespace rtvirt {
 
 GuestOs::GuestOs(Vm* vm, GuestConfig config)
-    : vm_(vm), config_(config), cross_layer_(std::make_unique<CrossLayerPolicy>()),
-      ckpt_section_("guest." + std::to_string(vm->id())),
-      ckpt_owner_(ckpt::Fnv1a64(ckpt_section_)) {
+    : vm_(vm), config_(config), ckpt_section_("guest." + std::to_string(vm->id())),
+      cross_layer_(std::make_unique<CrossLayerPolicy>()) {
   for (int i = 0; i < vm_->num_vcpus(); ++i) {
     Vcpu* v = vm_->vcpu(i);
     v->set_client(this);
@@ -19,7 +18,7 @@ GuestOs::GuestOs(Vm* vm, GuestConfig config)
     vcpus_.push_back(std::move(vr));
   }
   if (config_.overload.enabled) {
-    sim()->After(config_.overload.pressure_poll, PressureTag(), [this] { PressureTick(); });
+    sim()->After(config_.overload.pressure_poll, {this, kEvPressure});
   }
 }
 
@@ -196,10 +195,9 @@ void GuestOs::StartRunning(VcpuRun& vr, Task* task) {
   Pcpu* p = vr.vcpu->pcpu();
   vr.run_speed_ppb = p != nullptr ? p->speed_ppb() : Bandwidth::kUnit;
   if (task->is_rta()) {
-    Vcpu* v = vr.vcpu;
     vr.completion_event =
         sim()->After(SpeedWorkToWall(task->FrontJob().remaining, vr.run_speed_ppb),
-                     CompletionTag(v->index()), [this, v] { OnJobCompletion(RunOf(v)); });
+                     {this, kEvCompletion, static_cast<uint64_t>(vr.vcpu->index())});
   }
   // Background tasks have unbounded work: no completion event.
 }
@@ -863,7 +861,7 @@ int GuestOs::AdmitViaOverload(const RtaParams& params) {
 
 void GuestOs::PressureTick() {
   // Fixed cadence regardless of what this tick does.
-  sim()->After(config_.overload.pressure_poll, PressureTag(), [this] { PressureTick(); });
+  sim()->After(config_.overload.pressure_poll, {this, kEvPressure});
   if (vm_->crashed() || global_edf()) {
     return;
   }
@@ -1163,22 +1161,28 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }
 
-std::string GuestOs::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+void GuestOs::OnEvent(uint32_t kind, uint64_t payload) {
   switch (kind) {
     case kEvPressure:
-      sim()->At(when, PressureTag(), [this] { PressureTick(); });
+      PressureTick();
+      return;
+    case kEvCompletion:
+      OnJobCompletion(vcpus_[payload]);
+      return;
+  }
+}
+
+std::string GuestOs::AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) {
+  switch (kind) {
+    case kEvPressure:
       return "";
-    case kEvCompletion: {
+    case kEvCompletion:
       if (payload >= vcpus_.size()) {
         return ckpt_section_ + ": completion event references invalid vcpu " +
                std::to_string(payload);
       }
-      VcpuRun& vr = vcpus_[payload];
-      Vcpu* v = vr.vcpu;
-      vr.completion_event = sim()->At(when, CompletionTag(v->index()),
-                                      [this, v] { OnJobCompletion(RunOf(v)); });
+      vcpus_[payload].completion_event = id;
       return "";
-    }
   }
   return ckpt_section_ + ": unknown event kind " + std::to_string(kind);
 }

@@ -162,8 +162,8 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   void OnVcpuRevoked(Vcpu* vcpu) override;
 
   // ---- Checkpointing (src/checkpoint) ----
-  // Section name "guest.<vmid>"; the owner id doubles as the EventTag owner
-  // for the pressure-poll tick and per-VCPU job-completion events.
+  // Section name "guest.<vmid>". The guest owns its pressure-poll tick and
+  // per-VCPU job-completion events.
   const std::string& ckpt_section() const { return ckpt_section_; }
   enum CkptEventKind : uint32_t {
     kEvPressure = 1,    // Overload-control pressure poll (recurring).
@@ -171,7 +171,8 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   };
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+  std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) override;
 
  private:
   struct VcpuRun {
@@ -249,15 +250,9 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   // (true when the host never published — fall back to probing).
   bool HostHeadroomCovers(Bandwidth delta) const;
 
-  EventTag PressureTag() const { return EventTag{ckpt_owner_, kEvPressure, 0}; }
-  EventTag CompletionTag(int vcpu_index) const {
-    return EventTag{ckpt_owner_, kEvCompletion, static_cast<uint64_t>(vcpu_index)};
-  }
-
   Vm* vm_;
   GuestConfig config_;
   std::string ckpt_section_;
-  uint64_t ckpt_owner_ = 0;
   std::unique_ptr<CrossLayerPolicy> cross_layer_;
   std::vector<VcpuRun> vcpus_;
   std::vector<std::unique_ptr<Task>> tasks_;

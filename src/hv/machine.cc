@@ -286,20 +286,35 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : "machine: truncated section";
 }
 
-std::string Machine::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+void Machine::OnEvent(uint32_t kind, uint64_t payload) {
+  Pcpu* p = pcpus_[payload].get();
+  switch (kind) {
+    case kEvResched:
+      p->resched_pending_ = false;
+      p->Reschedule();
+      return;
+    case kEvSliceEnd:
+      p->Reschedule();
+      return;
+    case kEvGrant:
+      p->GrantCurrent();
+      return;
+  }
+}
+
+std::string Machine::AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) {
   if (payload >= pcpus_.size()) {
     return "machine: event references invalid pcpu " + std::to_string(payload);
   }
   Pcpu* p = pcpus_[payload].get();
   switch (kind) {
     case kEvResched:
-      p->CkptRebindResched(when);
-      return "";
+      return "";  // resched_pending_ was restored true; this is its event.
     case kEvSliceEnd:
-      p->CkptRebindSliceEnd(when);
+      p->slice_end_event_ = id;
       return "";
     case kEvGrant:
-      p->CkptRebindGrant(when);
+      p->grant_event_ = id;
       return "";
   }
   return "machine: unknown event kind " + std::to_string(kind);

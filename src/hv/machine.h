@@ -131,10 +131,9 @@ class Machine : public ckpt::Checkpointable {
 
   // ---- Checkpoint support (src/checkpoint) ----
   // The machine section covers PCPUs (incl. their pending dispatch events),
-  // VMs, VCPUs, shared pages, and overhead accounts. Pcpu tags its events
-  // with ckpt_owner() so the machine rebinds them after a restore.
+  // VMs, VCPUs, shared pages, and overhead accounts. The machine owns every
+  // PCPU event and dispatches it by PCPU id.
   static constexpr const char* kCkptSection = "machine";
-  uint64_t ckpt_owner() const { return ckpt_owner_; }
   enum CkptEventKind : uint32_t {
     kEvResched = 1,   // payload = pcpu id; the coalesced reschedule softirq.
     kEvSliceEnd = 2,  // payload = pcpu id; dispatch horizon timer.
@@ -142,7 +141,8 @@ class Machine : public ckpt::Checkpointable {
   };
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+  std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) override;
   // Resolves a serialized VCPU reference; nullptr if no such id.
   Vcpu* VcpuByGlobalId(int global_id) const;
 
@@ -163,7 +163,6 @@ class Machine : public ckpt::Checkpointable {
   DispatchTracer dispatch_tracer_;
   HypercallInterceptor hypercall_interceptor_;
   bool started_ = false;
-  uint64_t ckpt_owner_ = ckpt::Fnv1a64(kCkptSection);
 };
 
 }  // namespace rtvirt

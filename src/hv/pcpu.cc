@@ -11,35 +11,8 @@ Pcpu::Pcpu(Machine* machine, int id) : machine_(machine), id_(id) {}
 
 TimeNs Pcpu::idle_time(TimeNs now) const { return now - busy_time_; }
 
-EventTag Pcpu::ReschedTag() const {
-  return EventTag{machine_->ckpt_owner(), Machine::kEvResched,
-                  static_cast<uint64_t>(id_)};
-}
-
-EventTag Pcpu::SliceEndTag() const {
-  return EventTag{machine_->ckpt_owner(), Machine::kEvSliceEnd,
-                  static_cast<uint64_t>(id_)};
-}
-
-EventTag Pcpu::GrantTag() const {
-  return EventTag{machine_->ckpt_owner(), Machine::kEvGrant,
-                  static_cast<uint64_t>(id_)};
-}
-
-void Pcpu::CkptRebindResched(TimeNs when) {
-  // resched_pending_ was restored true; this re-creates the coalescing event.
-  machine_->sim()->At(when, ReschedTag(), [this] {
-    resched_pending_ = false;
-    Reschedule();
-  });
-}
-
-void Pcpu::CkptRebindSliceEnd(TimeNs when) {
-  slice_end_event_ = machine_->sim()->At(when, SliceEndTag(), [this] { Reschedule(); });
-}
-
-void Pcpu::CkptRebindGrant(TimeNs when) {
-  grant_event_ = machine_->sim()->At(when, GrantTag(), [this] { GrantCurrent(); });
+EventTag Pcpu::Tag(uint32_t kind) const {
+  return EventTag{machine_, kind, static_cast<uint64_t>(id_)};
 }
 
 void Pcpu::RequestReschedule() {
@@ -47,10 +20,7 @@ void Pcpu::RequestReschedule() {
     return;
   }
   resched_pending_ = true;
-  machine_->sim()->After(0, ReschedTag(), [this] {
-    resched_pending_ = false;
-    Reschedule();
-  });
+  machine_->sim()->After(0, Tag(Machine::kEvResched));
 }
 
 void Pcpu::StopCurrent() {
@@ -118,7 +88,7 @@ void Pcpu::Reschedule() {
     // error is bounded by sched_cost and absorbed by the slack budget).
     run_until_ = d.run_until;
     if (d.run_until < kTimeNever) {
-      slice_end_event_ = sim->At(d.run_until, SliceEndTag(), [this] { Reschedule(); });
+      slice_end_event_ = sim->At(d.run_until, Tag(Machine::kEvSliceEnd));
     }
     return;
   }
@@ -127,7 +97,7 @@ void Pcpu::Reschedule() {
 
   if (d.next == nullptr) {
     if (d.run_until < kTimeNever) {
-      slice_end_event_ = sim->At(d.run_until, SliceEndTag(), [this] { Reschedule(); });
+      slice_end_event_ = sim->At(d.run_until, Tag(Machine::kEvSliceEnd));
     }
     return;
   }
@@ -201,9 +171,9 @@ void Pcpu::Dispatch(Vcpu* vcpu, TimeNs overhead_delay, TimeNs run_until) {
   vcpu->state_ = VcpuState::kRunning;
   vcpu->pcpu_ = this;
   granted_ = false;
-  grant_event_ = sim->After(overhead_delay, GrantTag(), [this] { GrantCurrent(); });
+  grant_event_ = sim->After(overhead_delay, Tag(Machine::kEvGrant));
   if (run_until < kTimeNever) {
-    slice_end_event_ = sim->At(run_until, SliceEndTag(), [this] { Reschedule(); });
+    slice_end_event_ = sim->At(run_until, Tag(Machine::kEvSliceEnd));
   }
 }
 

@@ -79,14 +79,9 @@ class Pcpu {
   void Dispatch(Vcpu* vcpu, TimeNs overhead_delay, TimeNs run_until);
   void GrantCurrent();
 
-  // Checkpoint identities of this PCPU's events (owner = machine section) and
-  // the restore-time hooks that re-create them (src/checkpoint).
-  EventTag ReschedTag() const;
-  EventTag SliceEndTag() const;
-  EventTag GrantTag() const;
-  void CkptRebindResched(TimeNs when);
-  void CkptRebindSliceEnd(TimeNs when);
-  void CkptRebindGrant(TimeNs when);
+  // This PCPU's event of `kind` (a Machine::CkptEventKind): the machine
+  // owns it, and the payload is this PCPU's id.
+  EventTag Tag(uint32_t kind) const;
 
   Machine* machine_;
   int id_;

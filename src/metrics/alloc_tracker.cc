@@ -7,10 +7,11 @@ void AllocTracker::Start(TimeNs stop) {
   for (int i = 0; i < machine_->num_vms(); ++i) {
     last_runtime_[i] = machine_->vm(i)->TotalRuntime();
   }
-  machine_->sim()->After(window_, [this, stop] { Sample(stop); });
+  stop_ = stop;
+  machine_->sim()->After(window_, {this});
 }
 
-void AllocTracker::Sample(TimeNs stop) {
+void AllocTracker::Sample() {
   TimeNs now = machine_->sim()->Now();
   Row row;
   row.time = now;
@@ -22,8 +23,8 @@ void AllocTracker::Sample(TimeNs stop) {
     last_runtime_[i] = total;
   }
   rows_.push_back(std::move(row));
-  if (now < stop) {
-    machine_->sim()->After(window_, [this, stop] { Sample(stop); });
+  if (now < stop_) {
+    machine_->sim()->After(window_, {this});
   }
 }
 

@@ -11,7 +11,7 @@
 
 namespace rtvirt {
 
-class AllocTracker {
+class AllocTracker : public EventOwner {
  public:
   struct Row {
     TimeNs time = 0;
@@ -28,10 +28,12 @@ class AllocTracker {
   const std::vector<Row>& rows() const { return rows_; }
 
  private:
-  void Sample(TimeNs stop);
+  void OnEvent(uint32_t, uint64_t) override { Sample(); }
+  void Sample();
 
   Machine* machine_;
   TimeNs window_;
+  TimeNs stop_ = 0;
   std::vector<TimeNs> last_runtime_;
   std::vector<Row> rows_;
 };

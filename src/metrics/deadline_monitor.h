@@ -47,12 +47,13 @@ class DeadlineMonitor : public JobObserver, public ckpt::Checkpointable {
   int TasksWithMisses() const;
 
   // ---- Checkpointing (src/checkpoint) ----
-  // Section "monitor". Purely an accumulator: it owns no simulator events, so
-  // RebindEvent is always an error.
+  // Section "monitor". Purely an accumulator: it schedules no simulator
+  // events, so OnEvent never runs and AdoptEvent is always an error.
   static constexpr const char* kCkptSection = "monitor";
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  void OnEvent(uint32_t, uint64_t) override {}
+  std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) override;
 
  private:
   TaskStats total_;

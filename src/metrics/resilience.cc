@@ -150,7 +150,6 @@ void PrintResilience(std::ostream& out, const ResilienceCounters& c) {
     row("alloc", "eq_pops", c.event_queue.pops);
     row("alloc", "eq_node_allocs", c.event_queue.node_allocs);
     row("alloc", "eq_calendar_resizes", c.event_queue.calendar_resizes);
-    row("alloc", "eq_heap_compactions", c.event_queue.heap_compactions);
   }
   table.Print(out);
 }
@@ -247,8 +246,6 @@ void AccumulateResilience(ResilienceCounters& into, const ResilienceCounters& fr
   into.event_queue.pops += from.event_queue.pops;
   into.event_queue.node_allocs += from.event_queue.node_allocs;
   into.event_queue.calendar_resizes += from.event_queue.calendar_resizes;
-  into.event_queue.heap_compactions += from.event_queue.heap_compactions;
-  into.event_queue.backlog += from.event_queue.backlog;
   into.event_queue.free_nodes += from.event_queue.free_nodes;
 }
 

@@ -16,19 +16,16 @@ void DpWrapScheduler::Attach(Machine* machine) {
   capacity_ = Bandwidth::Cpus(machine->num_pcpus());
   pcpu_plan_.resize(machine->num_pcpus());
   if (config_.idle_tax.enabled) {
-    tax_event_ = machine_->sim()->After(config_.idle_tax.window, Tag(kEvTax), [this] { TaxTick(); });
+    tax_event_ = machine_->sim()->After(config_.idle_tax.window, {this, kEvTax});
   }
   if (config_.watchdog.reclaim_crashed) {
-    watchdog_event_ = machine_->sim()->After(config_.watchdog.scan_period, Tag(kEvWatchdog),
-                                             [this] { WatchdogTick(); });
+    watchdog_event_ = machine_->sim()->After(config_.watchdog.scan_period, {this, kEvWatchdog});
   }
   if (config_.overload.enabled) {
-    overload_event_ = machine_->sim()->After(config_.overload.scan_period, Tag(kEvOverload),
-                                             [this] { OverloadTick(); });
+    overload_event_ = machine_->sim()->After(config_.overload.scan_period, {this, kEvOverload});
   }
   if (config_.guest_trust.enabled) {
-    trust_event_ = machine_->sim()->After(config_.guest_trust.scan_period, Tag(kEvTrust),
-                                          [this] { TrustTick(); });
+    trust_event_ = machine_->sim()->After(config_.guest_trust.scan_period, {this, kEvTrust});
   }
 }
 
@@ -85,7 +82,7 @@ void DpWrapScheduler::TrustTick() {
     }
     t.violated_since_scan = false;
   }
-  trust_event_ = machine_->sim()->After(gt.scan_period, Tag(kEvTrust), [this] { TrustTick(); });
+  trust_event_ = machine_->sim()->After(gt.scan_period, {this, kEvTrust});
 }
 
 bool DpWrapScheduler::Quarantined(const Vm* vm) const {
@@ -195,8 +192,7 @@ void DpWrapScheduler::OverloadTick() {
     machine_->vm(i)->shared_page().PublishPressure(pressure_ ? 1 : 0, pressure_reason_,
                                                    headroom_ppb);
   }
-  overload_event_ = machine_->sim()->After(config_.overload.scan_period, Tag(kEvOverload),
-                                           [this] { OverloadTick(); });
+  overload_event_ = machine_->sim()->After(config_.overload.scan_period, {this, kEvOverload});
 }
 
 void DpWrapScheduler::WatchdogTick() {
@@ -217,8 +213,7 @@ void DpWrapScheduler::WatchdogTick() {
   if (changed) {
     ScheduleReplan();
   }
-  watchdog_event_ = machine_->sim()->After(config_.watchdog.scan_period, Tag(kEvWatchdog),
-                                           [this] { WatchdogTick(); });
+  watchdog_event_ = machine_->sim()->After(config_.watchdog.scan_period, {this, kEvWatchdog});
 }
 
 void DpWrapScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
@@ -246,7 +241,7 @@ void DpWrapScheduler::TaxTick() {
     }
     res.used_in_window = 0;
   }
-  tax_event_ = machine_->sim()->After(config_.idle_tax.window, Tag(kEvTax), [this] { TaxTick(); });
+  tax_event_ = machine_->sim()->After(config_.idle_tax.window, {this, kEvTax});
   if (changed) {
     ScheduleReplan();
   }
@@ -331,10 +326,7 @@ void DpWrapScheduler::ScheduleReplan() {
     return;
   }
   replan_pending_ = true;
-  machine_->sim()->After(0, Tag(kEvDeferredReplan), [this] {
-    replan_pending_ = false;
-    Replan();
-  });
+  machine_->sim()->After(0, {this, kEvDeferredReplan});
 }
 
 void DpWrapScheduler::Replan() {
@@ -568,7 +560,7 @@ void DpWrapScheduler::Replan() {
     v->vm()->shared_page().PublishAllocation(v->index(), segs.front().start, alloc);
   }
 
-  replan_event_ = sim->At(slice_end_, Tag(kEvReplan), [this] { Replan(); });
+  replan_event_ = sim->At(slice_end_, {this, kEvReplan});
   TickleAll();
 }
 
@@ -685,8 +677,7 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
         return;
       }
       if (!early_replan_event_.valid()) {
-        early_replan_event_ =
-            machine_->sim()->At(earliest, Tag(kEvEarlyReplan), [this] { Replan(); });
+        early_replan_event_ = machine_->sim()->At(earliest, {this, kEvEarlyReplan});
       }
       // The deferral costs this reservation bw * (earliest - now) of supply
       // before its deadline; compensate through the carry accumulator so the
@@ -1188,35 +1179,52 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : "dpwrap: truncated section";
 }
 
-std::string DpWrapScheduler::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
-  (void)payload;
-  Simulator* sim = machine_->sim();
+void DpWrapScheduler::OnEvent(uint32_t kind, uint64_t) {
   switch (kind) {
     case kEvTax:
-      tax_event_ = sim->At(when, Tag(kEvTax), [this] { TaxTick(); });
+      TaxTick();
+      return;
+    case kEvWatchdog:
+      WatchdogTick();
+      return;
+    case kEvOverload:
+      OverloadTick();
+      return;
+    case kEvTrust:
+      TrustTick();
+      return;
+    case kEvDeferredReplan:
+      replan_pending_ = false;
+      [[fallthrough]];
+    case kEvReplan:
+    case kEvEarlyReplan:
+      Replan();
+      return;
+  }
+}
+
+std::string DpWrapScheduler::AdoptEvent(uint32_t kind, uint64_t, EventQueue::EventId id) {
+  switch (kind) {
+    case kEvTax:
+      tax_event_ = id;
       return "";
     case kEvWatchdog:
-      watchdog_event_ = sim->At(when, Tag(kEvWatchdog), [this] { WatchdogTick(); });
+      watchdog_event_ = id;
       return "";
     case kEvOverload:
-      overload_event_ = sim->At(when, Tag(kEvOverload), [this] { OverloadTick(); });
+      overload_event_ = id;
       return "";
     case kEvTrust:
-      trust_event_ = sim->At(when, Tag(kEvTrust), [this] { TrustTick(); });
+      trust_event_ = id;
       return "";
     case kEvReplan:
-      replan_event_ = sim->At(when, Tag(kEvReplan), [this] { Replan(); });
+      replan_event_ = id;
       return "";
     case kEvEarlyReplan:
-      early_replan_event_ = sim->At(when, Tag(kEvEarlyReplan), [this] { Replan(); });
+      early_replan_event_ = id;
       return "";
     case kEvDeferredReplan:
-      // replan_pending_ was restored true; this is its coalescing event.
-      sim->At(when, Tag(kEvDeferredReplan), [this] {
-        replan_pending_ = false;
-        Replan();
-      });
-      return "";
+      return "";  // replan_pending_ was restored true; this is its event.
   }
   return "dpwrap: unknown event kind " + std::to_string(kind);
 }

@@ -247,7 +247,8 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   };
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+  std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) override;
 
   // Self-check of the scheduler's bookkeeping and of the current plan
   // (segments in bounds and non-overlapping, per-VCPU supply within the
@@ -346,8 +347,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // VMs after enough consecutive clean scans.
   void TrustTick();
 
-  EventTag Tag(uint32_t kind) const { return EventTag{ckpt_owner_, kind, 0}; }
-
   DpWrapConfig config_;
   Bandwidth capacity_;
   std::unordered_map<const Vcpu*, Reservation> reservations_;
@@ -402,7 +401,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   uint64_t quarantines_ = 0;
   uint64_t quarantine_releases_ = 0;
   uint64_t quarantine_holds_ = 0;          // Bandwidth raises held while quarantined.
-  uint64_t ckpt_owner_ = ckpt::Fnv1a64(kCkptSection);
 };
 
 }  // namespace rtvirt

@@ -99,16 +99,18 @@ void RtvirtGuestChannel::ScheduleRepair(VcpuState& st, Vcpu* vcpu) {
   if (st.repair_backoff <= 0) {
     st.repair_backoff = std::max<TimeNs>(options_.retry_backoff, 1);
   }
-  uint64_t gen = generation_;
-  machine_->sim()->After(st.repair_backoff, RepairTag(vcpu, gen),
-                         [this, vcpu, gen] { RepairTick(vcpu, gen); });
+  // Generations count VM crashes, so their low 32 bits identify one.
+  machine_->sim()->After(st.repair_backoff,
+                         {this, kEvRepair,
+                          (static_cast<uint64_t>(vcpu->global_id()) << 32) |
+                              (generation_ & 0xffffffffull)});
   st.repair_backoff = std::min(
       static_cast<TimeNs>(static_cast<double>(st.repair_backoff) * options_.retry_backoff_mult),
       options_.repair_backoff_max);
 }
 
 void RtvirtGuestChannel::RepairTick(Vcpu* vcpu, uint64_t generation) {
-  if (generation != generation_) {
+  if (generation != (generation_ & 0xffffffffull)) {
     return;  // Scheduled before a Reset(): the state it targeted is gone.
   }
   auto it = state_.find(vcpu);
@@ -337,23 +339,23 @@ std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }
 
-std::string RtvirtGuestChannel::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+void RtvirtGuestChannel::OnEvent(uint32_t, uint64_t payload) {
+  RepairTick(machine_->VcpuByGlobalId(static_cast<int>(payload >> 32)),
+             payload & 0xffffffffull);
+}
+
+std::string RtvirtGuestChannel::AdoptEvent(uint32_t kind, uint64_t payload,
+                                           EventQueue::EventId) {
   if (kind != kEvRepair) {
     return ckpt_section_ + ": unknown event kind " + std::to_string(kind);
   }
+  // The channel never cancels repair ticks, so there is no handle to store;
+  // a stale pre-Reset() tick still compares unequal and is ignored.
   int gid = static_cast<int>(payload >> 32);
-  // Generations count VM crashes, so the low 32 bits recover the value
-  // exactly; a stale pre-Reset() tick still compares unequal and is ignored.
-  uint64_t gen = payload & 0xffffffffull;
-  Vcpu* vcpu = machine_->VcpuByGlobalId(gid);
-  if (vcpu == nullptr) {
+  if (machine_->VcpuByGlobalId(gid) == nullptr) {
     return ckpt_section_ + ": repair event references unknown VCPU global id " +
            std::to_string(gid);
   }
-  // Fire-and-forget (the channel never cancels repair ticks); repair_backoff
-  // was saved post-multiplication, so rebinding must not advance it again.
-  machine_->sim()->At(when, RepairTag(vcpu, gen),
-                      [this, vcpu, gen] { RepairTick(vcpu, gen); });
   return "";
 }
 

@@ -104,21 +104,17 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   TimeNs GrantedPeriod(const Vcpu* vcpu) const;
 
   // ---- Checkpointing (src/checkpoint) ----
-  // The experiment names this channel's section ("channel.<vmid>") right
-  // after construction, before any repair event can exist; until then the
-  // owner is 0 and repair events would be untagged (SaveCheckpoint rejects
-  // untagged events, so a mis-wired channel fails loudly, not silently).
-  void SetCkptSection(const std::string& section) {
-    ckpt_section_ = section;
-    ckpt_owner_ = ckpt::Fnv1a64(section);
-  }
+  // The experiment names this channel's section ("channel.<vmid>") when it
+  // registers the channel; the name only labels restore errors.
+  void SetCkptSection(const std::string& section) { ckpt_section_ = section; }
   const std::string& ckpt_section() const { return ckpt_section_; }
   enum CkptEventKind : uint32_t {
     kEvRepair = 1,  // Payload = (vcpu global id << 32) | (generation & 0xffffffff).
   };
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+  std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) override;
 
  private:
   struct VcpuState {
@@ -144,15 +140,9 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   void RepairTick(Vcpu* vcpu, uint64_t generation);
   VcpuState& StateOf(Vcpu* vcpu) { return state_[vcpu]; }
 
-  EventTag RepairTag(const Vcpu* vcpu, uint64_t gen) const {
-    return EventTag{ckpt_owner_, kEvRepair,
-                    (static_cast<uint64_t>(vcpu->global_id()) << 32) | (gen & 0xffffffffull)};
-  }
-
   Machine* machine_;
   GuestChannelOptions options_;
   std::string ckpt_section_;
-  uint64_t ckpt_owner_ = 0;
   std::unordered_map<const Vcpu*, VcpuState> state_;
   ChannelStats stats_;
   // Bumped by Reset(): pending repair events from before a VM crash are

@@ -110,7 +110,7 @@ GuestOs* Experiment::AddGuest(const std::string& name, int vcpus, GuestConfig gu
   checkpointables_.emplace_back(added->ckpt_section(), added);
   if (channel != nullptr) {
     // Named here (not in the channel constructor) because the channel learns
-    // its VM id only through the guest; no repair event can exist yet.
+    // its VM id only through the guest.
     channel->SetCkptSection("channel." + std::to_string(vm->id()));
     checkpointables_.emplace_back(channel->ckpt_section(), channel);
   }
@@ -302,32 +302,29 @@ std::string Experiment::SaveCheckpoint(ckpt::Image* out) const {
     component->SaveState(w);
     out->sections.push_back({name, w.Take()});
   }
-  // Live events go last: restore rebinds them only after every component has
-  // its state back. Collected in (time, seq) order; rebinding in that order
+  // Live events go last: restore re-inserts them only after every component
+  // has its state back. Collected in seq order; re-inserting in that order
   // onto a fresh queue assigns ascending sequence numbers, preserving the
   // relative order of same-instant events — the continuation stays
-  // byte-identical.
+  // byte-identical. On disk the owner is its section's Fnv1a64.
   std::vector<EventQueue::LiveEvent> live;
   sim_.CollectLiveEvents(&live);
   ckpt::Writer w;
   w.U32(static_cast<uint32_t>(live.size()));
   for (const auto& e : live) {
-    if (!e.tag.tagged()) {
-      return "checkpoint: untagged live event at t=" + std::to_string(e.time) +
-             "ns (a schedule site outside the rebind registry)";
-    }
-    bool known = false;
+    const std::string* section = nullptr;
     for (const auto& [name, component] : checkpointables_) {
-      if (ckpt::Fnv1a64(name) == e.tag.owner) {
-        known = true;
+      if (static_cast<EventOwner*>(component) == e.tag.owner) {
+        section = &name;
         break;
       }
     }
-    if (!known) {
-      return "checkpoint: live event at t=" + std::to_string(e.time) +
-             "ns has unregistered owner " + HexOwner(e.tag.owner);
+    if (section == nullptr) {
+      return "checkpoint: live event (kind " + std::to_string(e.tag.kind) + ") at t=" +
+             std::to_string(e.time) + "ns is owned by a component that is not a registered "
+             "checkpointable";
     }
-    w.U64(e.tag.owner);
+    w.U64(ckpt::Fnv1a64(*section));
     w.U32(e.tag.kind);
     w.U64(e.tag.payload);
     w.I64(e.time);
@@ -400,36 +397,9 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
       return "checkpoint: section '" + name + "' has trailing bytes";
     }
   }
-  {
-    ckpt::Reader r(events_section->bytes);
-    uint32_t count = r.U32();
-    for (uint32_t i = 0; i < count; ++i) {
-      uint64_t owner = r.U64();
-      uint32_t kind = r.U32();
-      uint64_t payload = r.U64();
-      TimeNs when = r.I64();
-      if (!r.ok()) {
-        return "checkpoint: truncated section 'events' at event " + std::to_string(i);
-      }
-      ckpt::Checkpointable* target = nullptr;
-      for (const auto& [name, component] : checkpointables_) {
-        if (ckpt::Fnv1a64(name) == owner) {
-          target = component;
-          break;
-        }
-      }
-      if (target == nullptr) {
-        return "checkpoint: events[" + std::to_string(i) + "] has unknown owner " +
-               HexOwner(owner);
-      }
-      std::string err = target->RebindEvent(kind, payload, when);
-      if (!err.empty()) {
-        return "checkpoint: " + err;
-      }
-    }
-    if (!r.AtEnd()) {
-      return "checkpoint: section 'events' has trailing bytes";
-    }
+  if (std::string err = RestoreEvents(events_section->bytes); !err.empty()) {
+    sim_.ClearEventsForRestore();  // Never leave a half-built queue behind.
+    return err;
   }
   // The restored components re-created their armed/started flags themselves
   // (machine started, injector interceptor installed), so the next Run() must
@@ -437,6 +407,43 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
   started_ = true;
   warmup_recorded_ = true;
   warmup_end_alloc_ = perf::AllocNow();
+  return "";
+}
+
+std::string Experiment::RestoreEvents(std::string_view bytes) {
+  ckpt::Reader r(bytes);
+  uint32_t count = r.U32();
+  for (uint32_t i = 0; i < count; ++i) {
+    uint64_t owner = r.U64();
+    uint32_t kind = r.U32();
+    uint64_t payload = r.U64();
+    TimeNs when = r.I64();
+    if (!r.ok()) {
+      return "checkpoint: truncated section 'events' at event " + std::to_string(i);
+    }
+    ckpt::Checkpointable* target = nullptr;
+    for (const auto& [name, component] : checkpointables_) {
+      if (ckpt::Fnv1a64(name) == owner) {
+        target = component;
+        break;
+      }
+    }
+    if (target == nullptr) {
+      return "checkpoint: events[" + std::to_string(i) + "] has unknown owner " +
+             HexOwner(owner);
+    }
+    if (when < sim_.Now()) {
+      return "checkpoint: events[" + std::to_string(i) + "] is due at t=" +
+             std::to_string(when) + "ns, before the checkpoint instant";
+    }
+    std::string err = target->AdoptEvent(kind, payload, sim_.At(when, {target, kind, payload}));
+    if (!err.empty()) {
+      return "checkpoint: " + err;
+    }
+  }
+  if (!r.AtEnd()) {
+    return "checkpoint: section 'events' has trailing bytes";
+  }
   return "";
 }
 

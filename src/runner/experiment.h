@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/audit/invariant_auditor.h"
@@ -38,9 +39,8 @@ const char* FrameworkName(Framework framework);
 
 struct ExperimentConfig {
   Framework framework = Framework::kRtvirt;
-  // Simulator core knobs (event-queue backend selection). The default
-  // calendar queue is byte-identical in behavior to kHeap — see
-  // src/sim/sim_config.h.
+  // Simulator core knobs: none (src/sim/sim_config.h). Kept because the
+  // benchmark's traced host constructs its Simulator from it.
   SimConfig sim;
   MachineConfig machine;
   DpWrapConfig dpwrap;
@@ -127,9 +127,10 @@ class Experiment {
   // on the saving and the restoring build.
   void RegisterCheckpointable(const std::string& section, ckpt::Checkpointable* component);
 
-  // Serializes the full simulation state (clock, live events via their tags,
-  // RNG, every registered component) into `out`. Returns "" on success, else
-  // an error naming the unsupported config or unregistered event. Requires a
+  // Serializes the full simulation state (clock, live events, RNG, every
+  // registered component) into `out`. Returns "" on success, else an error
+  // naming the unsupported config or an event whose owner is not a
+  // registered checkpointable. Requires a
   // started experiment on the default path: audit, control, report_alloc and
   // non-RTVirt frameworks are rejected (their components are not yet
   // checkpointable).
@@ -146,6 +147,10 @@ class Experiment {
   void PrintReport(std::ostream& out, const std::string& title) const;
 
  private:
+  // Re-inserts the saved events in saved order, each owned by the component
+  // its section names, and lets that component validate and adopt it.
+  std::string RestoreEvents(std::string_view bytes);
+
   ExperimentConfig config_;
   Simulator sim_;
   std::unique_ptr<Machine> machine_;
@@ -159,8 +164,8 @@ class Experiment {
   std::unique_ptr<SloController> controller_;
   Rng rng_;
   bool started_ = false;
-  // Checkpoint registry, in serialization order. Owners are Fnv1a64(name);
-  // rebind dispatches each live event's tag owner back to its component.
+  // Checkpoint registry, in serialization order. Each component owns its
+  // events; on disk an event's owner is Fnv1a64 of its section name.
   std::vector<std::pair<std::string, ckpt::Checkpointable*>> checkpointables_;
   // Allocation attribution: everything up to the end of the first Run() call
   // (construction, guest/workload setup, machine start) is warm-up; the rest

@@ -1,26 +1,14 @@
-// Simulator-core configuration: which event-queue backend drives the run.
-//
-// kCalendar is the default: a calendar queue with O(1) amortized insert/pop,
-// O(1) real cancellation (entries are unlinked, not tombstoned) and
-// arena-recycled nodes, so the steady state after warm-up allocates nothing.
-// It preserves the exact (time, insertion-seq) total order of the binary
-// heap, so default runs are byte-identical across backends; kHeap remains
-// available for differential testing (see tests/determinism_test.cc) and as
-// the reference implementation the perf suite measures the speedup against.
+// Simulator-core configuration. It has no fields: the core has one event
+// queue and no knobs. The struct (and ExperimentConfig::sim) stays only
+// because the benchmark's traced host (rtbench/src/traced_host.cc)
+// constructs its Simulator from config.sim.
 
 #ifndef SRC_SIM_SIM_CONFIG_H_
 #define SRC_SIM_SIM_CONFIG_H_
 
 namespace rtvirt {
 
-enum class EventQueueKind {
-  kCalendar,  // bucket ring + freelist arena (default)
-  kHeap,      // binary heap, lazy cancellation with bounded tombstones
-};
-
-struct SimConfig {
-  EventQueueKind event_queue = EventQueueKind::kCalendar;
-};
+struct SimConfig {};
 
 }  // namespace rtvirt
 

@@ -4,6 +4,7 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/time.h"
 #include "src/sim/event_queue.h"
@@ -14,26 +15,20 @@ namespace rtvirt {
 class Simulator {
  public:
   using EventId = EventQueue::EventId;
-  using Callback = EventQueue::Callback;
 
-  explicit Simulator(SimConfig config = {}) : queue_(config.event_queue) {}
+  // SimConfig is empty; see src/sim/sim_config.h.
+  explicit Simulator(SimConfig = {}) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   TimeNs Now() const { return now_; }
 
-  // Schedules `cb` at absolute time `when` (must be >= Now()).
-  EventId At(TimeNs when, Callback cb) { return At(when, EventTag{}, std::move(cb)); }
+  // Schedules `tag` to fire at absolute time `when` (must be >= Now()):
+  // tag.owner->OnEvent(tag.kind, tag.payload) runs then.
+  EventId At(TimeNs when, const EventTag& tag);
 
-  // Tagged variant: the event carries a checkpoint identity so it can be
-  // re-created after a restore (src/checkpoint).
-  EventId At(TimeNs when, const EventTag& tag, Callback cb);
-
-  // Schedules `cb` `delay` ns from now.
-  EventId After(TimeNs delay, Callback cb) { return At(now_ + delay, std::move(cb)); }
-  EventId After(TimeNs delay, const EventTag& tag, Callback cb) {
-    return At(now_ + delay, tag, std::move(cb));
-  }
+  // Schedules `tag` to fire `delay` ns from now.
+  EventId After(TimeNs delay, const EventTag& tag) { return At(now_ + delay, tag); }
 
   void Cancel(EventId& id) { queue_.Cancel(id); }
 
@@ -51,8 +46,8 @@ class Simulator {
 
   // Checkpoint support (src/checkpoint). CollectLiveEvents snapshots every
   // pending event's (time, seq, tag); ClearEventsForRestore drops them all
-  // so a restored image can re-create the queue from scratch; RestoreClock
-  // moves the clock without running anything.
+  // so a restored image can re-insert its saved events; RestoreClock moves
+  // the clock without running anything.
   void CollectLiveEvents(std::vector<EventQueue::LiveEvent>* out) const {
     queue_.CollectLive(out);
   }
@@ -63,6 +58,9 @@ class Simulator {
   }
 
  private:
+  // Pops the earliest pending event and dispatches it to its owner.
+  void FireNext();
+
   TimeNs now_ = 0;
   EventQueue queue_;
   uint64_t events_processed_ = 0;

@@ -41,7 +41,7 @@ struct ChurnConfig {
   TimeNs admission_retry = 0;
 };
 
-class ChurnDriver {
+class ChurnDriver : public EventOwner {
  public:
   // Drives one episode chain per VCPU of `guest`. All spawned RTA tasks get
   // `observer` attached (deadline monitoring).
@@ -54,6 +54,12 @@ class ChurnDriver {
   const std::vector<std::unique_ptr<PeriodicRta>>& rtas() const { return rtas_; }
 
  private:
+  enum EventKind : uint32_t {
+    kEvEpisode = 1,     // Payload = slot: start the slot's next episode.
+    kEvEpisodeEnd = 2,  // Payload = slot: its episode ended; draw the gap.
+    kEvIdleEnd = 3,     // Payload = idle_tasks_ index: unregister it.
+  };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void NextEpisode(int slot);
 
   GuestOs* guest_;

@@ -63,7 +63,7 @@ struct MemcachedConfig {
   OpenLoop open_loop;
 };
 
-class MemcachedServer {
+class MemcachedServer : public EventOwner {
  public:
   MemcachedServer(GuestOs* guest, std::string name, MemcachedConfig config, Rng rng);
 
@@ -75,6 +75,11 @@ class MemcachedServer {
   uint64_t requests_sent() const { return requests_sent_; }
 
  private:
+  enum EventKind : uint32_t {
+    kEvRegister = 1,
+    kEvSend = 2,  // The Mutilate client sends its next request.
+  };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void Register();
   void ClientSend();
   TimeNs SampleService();

@@ -7,8 +7,7 @@ namespace rtvirt {
 
 PeriodicRta::PeriodicRta(GuestOs* guest, std::string name, RtaParams params)
     : guest_(guest), task_(guest->CreateTask(std::move(name))), params_(params),
-      ckpt_section_("wl." + task_->name()),
-      ckpt_owner_(ckpt::Fnv1a64(ckpt_section_)) {
+      ckpt_section_("wl." + task_->name()) {
   params_.sporadic = false;
 }
 
@@ -18,7 +17,7 @@ void PeriodicRta::Start(TimeNs start, TimeNs stop) {
   if (start <= sim->Now()) {
     Register();
   } else {
-    sim->At(start, Tag(kEvRegister), [this] { Register(); });
+    sim->At(start, {this, kEvRegister});
   }
 }
 
@@ -28,7 +27,7 @@ void PeriodicRta::Register() {
   admission_result_ = guest_->SchedSetAttr(task_, params_);
   if (admission_result_ != kGuestOk) {
     if (admission_retry_ > 0 && sim->Now() + admission_retry_ < stop_) {
-      sim->After(admission_retry_, Tag(kEvRegister), [this] { Register(); });
+      sim->After(admission_retry_, {this, kEvRegister});
     }
     return;
   }
@@ -48,7 +47,7 @@ void PeriodicRta::ReleaseOne() {
   // publication sees it.
   task_->set_next_release(now + params_.period);
   guest_->ReleaseJob(task_, job_work_ > 0 ? job_work_ : params_.slice, now + params_.period);
-  release_event_ = sim->After(params_.period, Tag(kEvRelease), [this] { ReleaseOne(); });
+  release_event_ = sim->After(params_.period, {this, kEvRelease});
 }
 
 void PeriodicRta::SaveState(ckpt::Writer& w) const {
@@ -70,15 +69,23 @@ std::string PeriodicRta::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }
 
-std::string PeriodicRta::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
-  (void)payload;
-  Simulator* sim = guest_->vm()->machine()->sim();
+void PeriodicRta::OnEvent(uint32_t kind, uint64_t) {
   switch (kind) {
     case kEvRegister:
-      sim->At(when, Tag(kEvRegister), [this] { Register(); });
+      Register();
+      return;
+    case kEvRelease:
+      ReleaseOne();
+      return;
+  }
+}
+
+std::string PeriodicRta::AdoptEvent(uint32_t kind, uint64_t, EventQueue::EventId id) {
+  switch (kind) {
+    case kEvRegister:
       return "";
     case kEvRelease:
-      release_event_ = sim->At(when, Tag(kEvRelease), [this] { ReleaseOne(); });
+      release_event_ = id;
       return "";
   }
   return ckpt_section_ + ": unknown event kind " + std::to_string(kind);

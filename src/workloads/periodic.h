@@ -53,13 +53,12 @@ class PeriodicRta : public ckpt::Checkpointable {
   };
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+  std::string AdoptEvent(uint32_t kind, uint64_t payload, EventQueue::EventId id) override;
 
  private:
   void Register();
   void ReleaseOne();
-
-  EventTag Tag(uint32_t kind) const { return EventTag{ckpt_owner_, kind, 0}; }
 
   GuestOs* guest_;
   Task* task_;
@@ -72,7 +71,6 @@ class PeriodicRta : public ckpt::Checkpointable {
   TimeNs admitted_at_ = kTimeNever;
   Simulator::EventId release_event_;
   std::string ckpt_section_;
-  uint64_t ckpt_owner_ = 0;
 };
 
 }  // namespace rtvirt

@@ -23,7 +23,7 @@ struct NetworkModel {
   TimeNs Sample(Rng& rng) const { return base_delay + rng.UniformTime(0, jitter); }
 };
 
-class SporadicRta {
+class SporadicRta : public EventOwner {
  public:
   SporadicRta(GuestOs* guest, std::string name, RtaParams params, Rng rng,
               TimeNs ia_lo = Ms(100), TimeNs ia_hi = Sec(1), NetworkModel net = {});
@@ -36,6 +36,12 @@ class SporadicRta {
   uint64_t requests_sent() const { return requests_sent_; }
 
  private:
+  enum EventKind : uint32_t {
+    kEvRegister = 1,
+    kEvArrival = 2,  // A request reaches the guest after its network delay.
+    kEvSend = 3,     // The client sends its next request.
+  };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void Register();
   void ClientSend();
 

@@ -1,8 +1,8 @@
 // Checkpoint/restore (DESIGN.md §10): RNG state round-trip, corruption
-// loudness (truncation / CRC / version / section count), byte-identical
-// resumed continuation on both event-queue backends, sweep resumed-attempt
-// reporting, federated snapshot round-trip, and the save-path rejections
-// (non-checkpointable features, untagged events).
+// loudness (truncation / CRC / version / section count / bad events),
+// byte-identical resumed continuation, sweep resumed-attempt reporting,
+// federated snapshot round-trip, and the save-path rejections
+// (non-checkpointable features, events of unregistered owners).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -147,6 +147,49 @@ TEST(CheckpointCorruptionTest, TruncatedSectionNamesTheComponent) {
   EXPECT_NE(err.find("'rng'"), std::string::npos) << err;
 }
 
+// Restore-path event checks: every saved event names a registered owner, a
+// kind that owner schedules, and a payload in range — else restore fails
+// with a named error. Each image carries exactly one crafted event.
+std::string RestoreWithOneEvent(const std::string& owner_section, uint32_t kind,
+                                uint64_t payload) {
+  ckpt::Image image;
+  SavedScenarioBytes(&image);
+  for (ckpt::Section& s : image.sections) {
+    if (s.name == "events") {
+      ckpt::Writer w;
+      w.U32(1);
+      w.U64(ckpt::Fnv1a64(owner_section));
+      w.U32(kind);
+      w.U64(payload);
+      w.I64(Ms(100));
+      s.bytes = w.Take();
+    }
+  }
+  auto fresh = BuildCkptScenario(CkptScenarioOptions{});
+  std::string err = fresh->exp->RestoreCheckpoint(image);
+  EXPECT_TRUE(fresh->exp->sim().idle()) << "a failed restore left events queued";
+  return err;
+}
+
+TEST(CheckpointCorruptionTest, EventWithUnknownOwnerFailsLoudly) {
+  std::string err = RestoreWithOneEvent("no-such-section", Machine::kEvGrant, 0);
+  EXPECT_NE(err.find("events[0] has unknown owner"), std::string::npos) << err;
+}
+
+TEST(CheckpointCorruptionTest, EventWithUnknownKindFailsLoudly) {
+  std::string err = RestoreWithOneEvent(Machine::kCkptSection, 99, 0);
+  EXPECT_NE(err.find("machine: unknown event kind 99"), std::string::npos) << err;
+}
+
+TEST(CheckpointCorruptionTest, EventWithOutOfRangePayloadFailsLoudly) {
+  // The scenario's fault plan has no VM failures, so index 0 is past it.
+  std::string err =
+      RestoreWithOneEvent(FaultInjector::kCkptSection, FaultInjector::kEvVmCrash, 0);
+  EXPECT_NE(err.find("faults: event references unknown vm_failures entry 0"),
+            std::string::npos)
+      << err;
+}
+
 // ---------------------------------------------------------------------------
 // Save-path rejections.
 
@@ -161,27 +204,30 @@ TEST(CheckpointRejectionTest, NonCheckpointableFeaturesAreRejectedAtSave) {
   EXPECT_NE(err.find("audit.enabled"), std::string::npos) << err;
 }
 
-TEST(CheckpointRejectionTest, UntaggedLiveEventIsRejectedAtSave) {
+TEST(CheckpointRejectionTest, UnregisteredOwnerLiveEventIsRejectedAtSave) {
   CkptScenarioOptions opt;
   opt.horizon = Ms(200);
   auto s = BuildCkptScenario(opt);
   s->Start();
   s->exp->Run(Ms(50));
-  // A schedule site outside the rebind registry: closure with no EventTag.
-  s->exp->sim().After(Ms(10), [] {});
+  // An owner the experiment's checkpoint registry does not know.
+  struct Stranger : EventOwner {
+    void OnEvent(uint32_t, uint64_t) override {}
+  } stranger;
+  s->exp->sim().After(Ms(10), {&stranger, 3});
   ckpt::Image image;
   std::string err = s->exp->SaveCheckpoint(&image);
-  EXPECT_NE(err.find("untagged live event"), std::string::npos) << err;
+  EXPECT_NE(err.find("live event (kind 3)"), std::string::npos) << err;
+  EXPECT_NE(err.find("not a registered checkpointable"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------
 // Byte-identical continuation: run->save->continue vs restore->continue must
-// serialize to the same bytes at the horizon, on both queue backends.
+// serialize to the same bytes at the horizon.
 
-void RoundTripContinuation(EventQueueKind backend) {
+TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
   CkptScenarioOptions opt;
   opt.horizon = Ms(600);
-  opt.sim.event_queue = backend;
 
   auto a = BuildCkptScenario(opt);
   a->Start();
@@ -203,14 +249,6 @@ void RoundTripContinuation(EventQueueKind backend) {
   EXPECT_EQ(a->monitor.total_completed(), b->monitor.total_completed());
   EXPECT_EQ(a->monitor.total_misses(), b->monitor.total_misses());
   EXPECT_GT(a->monitor.total_completed(), 0u);
-}
-
-TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
-  RoundTripContinuation(EventQueueKind::kCalendar);
-}
-
-TEST(CheckpointRoundTripTest, HeapBackendContinuesByteIdentical) {
-  RoundTripContinuation(EventQueueKind::kHeap);
 }
 
 TEST(CheckpointRoundTripTest, RestoreRequiresFreshExperiment) {

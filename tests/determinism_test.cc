@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -214,71 +216,67 @@ TEST(Determinism, DifferentWorkloadSeedStillRunsCleanUnderFaults) {
   EXPECT_EQ(exp.auditor()->total_violations(), 0u);
 }
 
-// Differential check of the two event-queue backends (perf PR satellite):
-// 100k randomized schedule/cancel/pop operations driven through a calendar
-// queue and a binary heap in lockstep. The backends implement the same
-// (time, insertion-seq) total order, so at every step their sizes and next
-// event times must agree, and the fired sequences must be identical. This is
-// the test that lets the calendar be the default: any divergence under
-// resizes, width retunes, node recycling, or tombstone compaction shows up
-// here as a first-divergence step index.
-TEST(Determinism, EventQueueBackendsAgreeOverRandomizedOps) {
-  EventQueue cal(EventQueueKind::kCalendar);
-  EventQueue heap(EventQueueKind::kHeap);
+// Differential check of the event queue against an ordering oracle: 100k
+// randomized schedule/cancel/pop operations driven through the calendar
+// queue and a std::multiset keyed on (time, insertion seq) in lockstep. At
+// every step their sizes and next event times must agree, and every pop must
+// hand back the oracle's minimum. Any divergence under resizes, width
+// retunes or node recycling shows up here as a first-divergence step index.
+TEST(Determinism, EventQueueMatchesOrderedOracleOverRandomizedOps) {
+  EventQueue q;
+  std::multiset<std::pair<TimeNs, uint64_t>> oracle;
   Rng rng(0xEC0FFEEull);
 
   struct Pending {
-    EventQueue::EventId cal_id;
-    EventQueue::EventId heap_id;
-    int tag;
+    EventQueue::EventId id;
+    TimeNs when;
+    uint64_t seq;
   };
   std::vector<Pending> pending;
-  std::vector<int> cal_fired;
-  std::vector<int> heap_fired;
 
   TimeNs now = 0;
-  int next_tag = 0;
+  uint64_t next_seq = 0;
   constexpr int kOps = 100000;
   for (int op = 0; op < kOps; ++op) {
     int roll = static_cast<int>(rng.UniformInt(0, 99));
     if (roll < 45 || pending.empty()) {
-      // Schedule the same event in both queues. Mix of near and far times,
-      // with occasional exact duplicates to exercise FIFO tie-breaking.
+      // Mix of near and far times, with occasional exact duplicates to
+      // exercise FIFO tie-breaking. The payload is the insertion seq.
       TimeNs when = now + rng.UniformTime(0, roll % 5 == 0 ? 50 : 5000000);
-      int tag = next_tag++;
-      Pending p;
-      p.tag = tag;
-      p.cal_id = cal.Schedule(when, [&cal_fired, tag] { cal_fired.push_back(tag); });
-      p.heap_id = heap.Schedule(when, [&heap_fired, tag] { heap_fired.push_back(tag); });
-      pending.push_back(std::move(p));
+      uint64_t seq = next_seq++;
+      pending.push_back({q.Schedule(when, EventTag{nullptr, 0, seq}), when, seq});
+      oracle.insert({when, seq});
     } else if (roll < 70) {
-      // Cancel a random outstanding event in both (ids of already-fired
-      // events are still in `pending`; cancelling those must be a no-op in
-      // both backends equally).
+      // Cancel a random outstanding id. Ids of already-fired events are
+      // still in `pending`; cancelling those must be a no-op.
       size_t pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(pending.size()) - 1));
-      cal.Cancel(pending[pick].cal_id);
-      heap.Cancel(pending[pick].heap_id);
-      pending[pick] = std::move(pending.back());
+      q.Cancel(pending[pick].id);
+      auto it = oracle.find({pending[pick].when, pending[pick].seq});
+      if (it != oracle.end()) {
+        oracle.erase(it);
+      }
+      pending[pick] = pending.back();
       pending.pop_back();
-    } else if (!cal.empty()) {
-      ASSERT_EQ(cal.NextTime(), heap.NextTime()) << "step " << op;
-      now = cal.NextTime();
-      cal.PopNext().callback();
-      heap.PopNext().callback();
-      ASSERT_EQ(cal_fired.back(), heap_fired.back()) << "step " << op;
+    } else if (!q.empty()) {
+      ASSERT_EQ(q.NextTime(), oracle.begin()->first) << "step " << op;
+      EventQueue::Fired fired = q.PopNext();
+      now = fired.time;
+      ASSERT_EQ(fired.tag.payload, oracle.begin()->second) << "step " << op;
+      oracle.erase(oracle.begin());
     }
-    ASSERT_EQ(cal.size(), heap.size()) << "step " << op;
+    ASSERT_EQ(q.size(), oracle.size()) << "step " << op;
   }
-  // Drain both completely and require identical fired sequences.
-  while (!cal.empty()) {
-    ASSERT_EQ(cal.NextTime(), heap.NextTime());
-    cal.PopNext().callback();
-    heap.PopNext().callback();
+  // Drain completely: the queue must yield exactly the oracle's order.
+  while (!q.empty()) {
+    ASSERT_FALSE(oracle.empty());
+    EventQueue::Fired fired = q.PopNext();
+    ASSERT_EQ(fired.time, oracle.begin()->first);
+    ASSERT_EQ(fired.tag.payload, oracle.begin()->second);
+    oracle.erase(oracle.begin());
   }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(cal_fired, heap_fired);
-  EXPECT_GT(cal.stats().calendar_resizes, 0u);
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_GT(q.stats().calendar_resizes, 0u);
 }
 
 }  // namespace

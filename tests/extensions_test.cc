@@ -200,9 +200,8 @@ TEST(IdleTax, TaxedReservationRecoversWhenItBecomesBusy) {
   ASSERT_LT(taxed, 0.5);
   // Becomes busy: jobs arrive every period for 2 s.
   for (int k = 0; k < 20; ++k) {
-    exp.sim().At(Sec(1) + k * Ms(100) + 1, [&] {
-      g->ReleaseJob(task, Ms(55), exp.sim().Now() + Ms(100));
-    });
+    exp.Run(Sec(1) + k * Ms(100) + 1);
+    g->ReleaseJob(task, Ms(55), exp.sim().Now() + Ms(100));
   }
   exp.Run(Sec(3));
   EXPECT_GT(exp.dpwrap()->TaxFactor(g->vm()->vcpu(0)), taxed);

@@ -88,9 +88,8 @@ TEST(GuestGedf, TaskMigratesBetweenVcpus) {
   // preempting; with two VCPUs both always meet deadlines.
   rig.guest->ReleaseJob(big, Ms(8), Ms(20));
   for (int k = 0; k < 4; ++k) {
-    rig.sim.At(Ms(4 * k), [&] {
-      rig.guest->ReleaseJob(small, Ms(2), rig.sim.Now() + Ms(4));
-    });
+    rig.sim.RunUntil(Ms(4 * k));
+    rig.guest->ReleaseJob(small, Ms(2), rig.sim.Now() + Ms(4));
   }
   rig.sim.RunUntil(Ms(30));
   EXPECT_EQ(mon.total_completed(), 5u);

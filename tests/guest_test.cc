@@ -163,7 +163,8 @@ TEST(GuestDispatch, PreemptionByEarlierDeadline) {
   mon.Watch(lo);
   mon.Watch(hi);
   rig.guest->ReleaseJob(lo, Ms(4), Ms(50));
-  rig.sim.At(Ms(1), [&] { rig.guest->ReleaseJob(hi, Ms(1), rig.sim.Now() + Ms(5)); });
+  rig.sim.RunUntil(Ms(1));
+  rig.guest->ReleaseJob(hi, Ms(1), rig.sim.Now() + Ms(5));
   rig.sim.RunUntil(Ms(10));
   ASSERT_EQ(mon.total_completed(), 2u);
   // hi preempts at 1ms, finishes at 2ms; lo resumes and finishes at 5ms.

@@ -133,7 +133,8 @@ TEST(Machine, RuntimeAccountedWhileRunning) {
 TEST(Machine, BlockStopsExecutionAndRevokes) {
   Rig rig(1, 1, Ms(1), ZeroCostConfig(1));
   rig.vm->vcpu(0)->Wake();
-  rig.sim.At(Ms(3), [&] { rig.vm->vcpu(0)->Block(); });
+  rig.sim.RunUntil(Ms(3));
+  rig.vm->vcpu(0)->Block();
   rig.sim.RunUntil(Ms(10));
   EXPECT_EQ(rig.clients[0].revokes(), rig.clients[0].grants());
   EXPECT_EQ(rig.vm->vcpu(0)->total_runtime(), Ms(3));
@@ -196,7 +197,8 @@ TEST(Machine, ScheduleCostCharged) {
 TEST(Machine, InjectOverheadStealsTime) {
   Rig rig(1, 1, Ms(1), ZeroCostConfig(1));
   rig.vm->vcpu(0)->Wake();
-  rig.sim.At(Ms(2), [&] { rig.machine->pcpu(0)->InjectOverhead(Us(100)); });
+  rig.sim.RunUntil(Ms(2));
+  rig.machine->pcpu(0)->InjectOverhead(Us(100));
   rig.sim.RunUntil(Ms(10));
   EXPECT_NEAR(static_cast<double>(rig.vm->vcpu(0)->total_runtime()),
               static_cast<double>(Ms(10) - Us(100)), static_cast<double>(Us(1)));
@@ -218,11 +220,10 @@ TEST(Machine, HotplugVcpuMidRun) {
   Rig rig(2, 1, Ms(1), ZeroCostConfig(2));
   rig.vm->vcpu(0)->Wake();
   HogClient extra;
-  rig.sim.At(Ms(5), [&] {
-    Vcpu* v = rig.vm->AddVcpu();
-    v->set_client(&extra);
-    v->Wake();
-  });
+  rig.sim.RunUntil(Ms(5));
+  Vcpu* v = rig.vm->AddVcpu();
+  v->set_client(&extra);
+  v->Wake();
   rig.sim.RunUntil(Ms(10));
   ASSERT_EQ(rig.vm->num_vcpus(), 2);
   EXPECT_NEAR(static_cast<double>(rig.vm->vcpu(1)->total_runtime()),

@@ -86,7 +86,8 @@ TEST(PcpuFaults, OfflineEvacuatesTheRunningVcpu) {
   rig.sim.RunUntil(Ms(1));
   ASSERT_EQ(rig.machine->pcpu(1)->current(), rig.vm->vcpu(1));
 
-  rig.sim.At(Ms(2), [&] { rig.machine->SetPcpuOnline(1, false); });
+  rig.sim.RunUntil(Ms(2));
+  rig.machine->SetPcpuOnline(1, false);
   rig.sim.RunUntil(Ms(3));
   EXPECT_FALSE(rig.machine->pcpu(1)->online());
   EXPECT_EQ(rig.machine->pcpu(1)->current(), nullptr);
@@ -102,7 +103,8 @@ TEST(PcpuFaults, OfflineEvacuatesTheRunningVcpu) {
 TEST(PcpuFaults, OfflineIdleCoreEvacuatesNobody) {
   FaultRig rig(2, 1);  // PCPU 1 never has anyone dispatched.
   rig.vm->vcpu(0)->Wake();
-  rig.sim.At(Ms(1), [&] { rig.machine->SetPcpuOnline(1, false); });
+  rig.sim.RunUntil(Ms(1));
+  rig.machine->SetPcpuOnline(1, false);
   rig.sim.RunUntil(Ms(2));
   EXPECT_EQ(rig.machine->pcpu_evacuations(), 0u);
   EXPECT_EQ(rig.machine->num_online_pcpus(), 1);
@@ -111,8 +113,10 @@ TEST(PcpuFaults, OfflineIdleCoreEvacuatesNobody) {
 TEST(PcpuFaults, ReOnlineRestoresDispatch) {
   FaultRig rig(1, 1);
   rig.vm->vcpu(0)->Wake();
-  rig.sim.At(Ms(1), [&] { rig.machine->SetPcpuOnline(0, false); });
-  rig.sim.At(Ms(5), [&] { rig.machine->SetPcpuOnline(0, true); });
+  rig.sim.RunUntil(Ms(1));
+  rig.machine->SetPcpuOnline(0, false);
+  rig.sim.RunUntil(Ms(5));
+  rig.machine->SetPcpuOnline(0, true);
   rig.sim.RunUntil(Ms(8));
   EXPECT_TRUE(rig.machine->pcpu(0)->online());
   EXPECT_EQ(rig.machine->pcpu(0)->current(), rig.vm->vcpu(0));
@@ -128,14 +132,14 @@ TEST(PcpuFaults, EvacuationPenaltyChargedOnceOnNextDispatch) {
   rig.sim.RunUntil(Ms(1));
   ASSERT_EQ(rig.machine->pcpu(0)->current(), rig.vm->vcpu(0));
 
-  rig.sim.At(Ms(1), [&] { rig.machine->SetPcpuOnline(0, false); });
+  rig.machine->SetPcpuOnline(0, false);
   rig.sim.RunUntil(Ms(2));
   EXPECT_EQ(rig.vm->vcpu(0)->pending_evacuation_penalty(), Us(300));
   TimeNs mig_before = rig.machine->overhead().migration_time;
 
   // The dedicated scheduler pins vcpu 0 to pcpu 0; re-onlining it brings the
   // evacuee back and the one-shot salvage cost is paid exactly once.
-  rig.sim.At(Ms(2), [&] { rig.machine->SetPcpuOnline(0, true); });
+  rig.machine->SetPcpuOnline(0, true);
   rig.sim.RunUntil(Ms(10));
   EXPECT_EQ(rig.vm->vcpu(0)->pending_evacuation_penalty(), 0);
   EXPECT_EQ(rig.machine->overhead().migration_time - mig_before, Us(300));
@@ -149,7 +153,7 @@ TEST(PcpuFaults, SpeedChangeRevokesAndUpdatesEffectiveCapacity) {
   rig.sim.RunUntil(Ms(1));
   EXPECT_EQ(rig.machine->EffectiveCapacity(), Bandwidth::Cpus(2));
 
-  rig.sim.At(Ms(1), [&] { rig.machine->SetPcpuSpeed(0, 0.5); });
+  rig.machine->SetPcpuSpeed(0, 0.5);
   rig.sim.RunUntil(Ms(2));
   EXPECT_EQ(rig.machine->pcpu(0)->speed_ppb(), Bandwidth::kUnit / 2);
   EXPECT_EQ(rig.machine->EffectiveCapacity(), Bandwidth::FromPpb(Bandwidth::kUnit * 3 / 2));
@@ -158,7 +162,7 @@ TEST(PcpuFaults, SpeedChangeRevokesAndUpdatesEffectiveCapacity) {
   EXPECT_GE(rig.clients[0].revokes, 1);
   EXPECT_EQ(rig.machine->pcpu(0)->current(), rig.vm->vcpu(0));
 
-  rig.sim.At(Ms(2), [&] { rig.machine->SetPcpuSpeed(0, 1.0); });
+  rig.machine->SetPcpuSpeed(0, 1.0);
   rig.sim.RunUntil(Ms(3));
   EXPECT_EQ(rig.machine->EffectiveCapacity(), Bandwidth::Cpus(2));
 }

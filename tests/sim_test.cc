@@ -8,105 +8,101 @@
 namespace rtvirt {
 namespace {
 
-// Both backends must honor the exact same (time, insertion-seq) contract, so
-// every ordering/cancellation test runs against each of them.
-class EventQueueBackends : public ::testing::TestWithParam<EventQueueKind> {};
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, EventQueueBackends,
-                         ::testing::Values(EventQueueKind::kCalendar,
-                                           EventQueueKind::kHeap),
-                         [](const auto& info) {
-                           return info.param == EventQueueKind::kCalendar
-                                      ? "Calendar"
-                                      : "Heap";
-                         });
-
-TEST_P(EventQueueBackends, OrdersByTime) {
-  EventQueue q(GetParam());
-  std::vector<int> fired;
-  q.Schedule(30, [&] { fired.push_back(3); });
-  q.Schedule(10, [&] { fired.push_back(1); });
-  q.Schedule(20, [&] { fired.push_back(2); });
+// Pops every pending event and returns the payloads in firing order.
+std::vector<uint64_t> DrainPayloads(EventQueue& q) {
+  std::vector<uint64_t> fired;
   while (!q.empty()) {
-    q.PopNext().callback();
+    fired.push_back(q.PopNext().tag.payload);
   }
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  return fired;
 }
 
-TEST_P(EventQueueBackends, FifoWithinSameTimestamp) {
-  EventQueue q(GetParam());
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    q.Schedule(7, [&fired, i] { fired.push_back(i); });
-  }
-  while (!q.empty()) {
-    q.PopNext().callback();
-  }
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
+EventTag Payload(uint64_t payload) { return EventTag{nullptr, 0, payload}; }
+
+TEST(EventQueue, OrdersByTime) {
+  EventQueue q;
+  q.Schedule(30, Payload(3));
+  q.Schedule(10, Payload(1));
+  q.Schedule(20, Payload(2));
+  EXPECT_EQ(DrainPayloads(q), (std::vector<uint64_t>{1, 2, 3}));
 }
 
-TEST_P(EventQueueBackends, CancelPreventsFiring) {
-  EventQueue q(GetParam());
-  int fired = 0;
-  auto id = q.Schedule(5, [&] { ++fired; });
-  q.Schedule(6, [&] { ++fired; });
+TEST(EventQueue, FifoWithinSameTimestamp) {
+  EventQueue q;
+  for (uint64_t i = 0; i < 5; ++i) {
+    q.Schedule(7, Payload(i));
+  }
+  EXPECT_EQ(DrainPayloads(q), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, CancelPreventsFiring) {
+  EventQueue q;
+  auto id = q.Schedule(5, Payload(5));
+  q.Schedule(6, Payload(6));
   q.Cancel(id);
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) {
-    q.PopNext().callback();
-  }
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(DrainPayloads(q), (std::vector<uint64_t>{6}));
 }
 
-TEST_P(EventQueueBackends, CancelAfterFireIsNoop) {
-  EventQueue q(GetParam());
-  auto id = q.Schedule(1, [] {});
-  q.PopNext().callback();
+TEST(EventQueue, CancelAfterFireIsNoop) {
+  EventQueue q;
+  auto id = q.Schedule(1, Payload(1));
+  q.PopNext();
   q.Cancel(id);  // Must not corrupt the live count.
   EXPECT_TRUE(q.empty());
-  q.Schedule(2, [] {});
+  q.Schedule(2, Payload(2));
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST_P(EventQueueBackends, DoubleCancelIsNoop) {
-  EventQueue q(GetParam());
-  auto id = q.Schedule(1, [] {});
+TEST(EventQueue, DoubleCancelIsNoop) {
+  EventQueue q;
+  auto id = q.Schedule(1, Payload(1));
   auto id2 = id;
   q.Cancel(id);
   q.Cancel(id2);
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueBackends, NextTimeSkipsCancelled) {
-  EventQueue q(GetParam());
-  auto id = q.Schedule(5, [] {});
-  q.Schedule(9, [] {});
+TEST(EventQueue, NextTimeSkipsCancelled) {
+  EventQueue q;
+  auto id = q.Schedule(5, Payload(5));
+  q.Schedule(9, Payload(9));
   q.Cancel(id);
   EXPECT_EQ(q.NextTime(), 9);
+}
+
+// Firing hands back the whole tag: owner, kind and payload.
+TEST(EventQueue, PopReturnsTheScheduledTag) {
+  struct Owner : EventOwner {
+    void OnEvent(uint32_t, uint64_t) override {}
+  } owner;
+  EventQueue q;
+  q.Schedule(4, EventTag{&owner, 7, 42});
+  EventQueue::Fired fired = q.PopNext();
+  EXPECT_EQ(fired.time, 4);
+  EXPECT_EQ(fired.tag.owner, &owner);
+  EXPECT_EQ(fired.tag.kind, 7u);
+  EXPECT_EQ(fired.tag.payload, 42u);
 }
 
 // Calendar arena nodes are recycled: an EventId held across its node's reuse
 // by a later Schedule() must become inert, not cancel the new tenant. The
 // generation stamp in the id is what makes this safe.
 TEST(EventQueueCalendar, StaleCancelAfterNodeReuseIsNoop) {
-  EventQueue q(EventQueueKind::kCalendar);
-  auto stale = q.Schedule(1, [] {});
-  q.PopNext().callback();  // Frees the node back to the arena.
+  EventQueue q;
+  auto stale = q.Schedule(1, Payload(1));
+  q.PopNext();  // Frees the node back to the arena.
   EXPECT_TRUE(q.empty());
-  int fired = 0;
-  q.Schedule(2, [&] { ++fired; });  // Reuses the freed node.
-  q.Cancel(stale);                  // Generation mismatch: must be a no-op.
+  q.Schedule(2, Payload(2));  // Reuses the freed node.
+  q.Cancel(stale);            // Generation mismatch: must be a no-op.
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) {
-    q.PopNext().callback();
-  }
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(DrainPayloads(q), (std::vector<uint64_t>{2}));
 }
 
 // Growing through several calendar resizes (bucket-ring rebuilds with width
 // retunes) must not perturb the (time, seq) total order.
 TEST(EventQueueCalendar, OrderSurvivesResizes) {
-  EventQueue q(EventQueueKind::kCalendar);
+  EventQueue q;
   // Deterministic scatter of timestamps with duplicates, far more entries
   // than the initial 64 buckets so the ring grows and retunes repeatedly.
   std::vector<int64_t> times;
@@ -115,103 +111,99 @@ TEST(EventQueueCalendar, OrderSurvivesResizes) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
     times.push_back(static_cast<int64_t>(x >> 24) % 1000000);
   }
-  std::vector<std::pair<int64_t, int>> fired;
-  for (int i = 0; i < static_cast<int>(times.size()); ++i) {
-    q.Schedule(times[i], [&fired, &times, i] {
-      fired.push_back({times[i], i});
-    });
+  for (size_t i = 0; i < times.size(); ++i) {
+    q.Schedule(times[i], Payload(i));
   }
   EXPECT_GT(q.stats().calendar_resizes, 0u);
-  int64_t last_time = -1;
-  int last_seq = -1;
-  while (!q.empty()) {
-    q.PopNext().callback();
-    auto [t, seq] = fired.back();
-    if (t == last_time) {
-      EXPECT_GT(seq, last_seq);  // FIFO among equal timestamps.
+  std::vector<uint64_t> fired = DrainPayloads(q);
+  ASSERT_EQ(fired.size(), times.size());
+  for (size_t k = 1; k < fired.size(); ++k) {
+    int64_t prev = times[fired[k - 1]];
+    int64_t t = times[fired[k]];
+    if (t == prev) {
+      EXPECT_GT(fired[k], fired[k - 1]);  // FIFO among equal timestamps.
     } else {
-      EXPECT_GT(t, last_time);
-    }
-    last_time = t;
-    last_seq = seq;
-  }
-  EXPECT_EQ(fired.size(), times.size());
-}
-
-// Regression for the unbounded-tombstone leak: a workload that cancels far
-// more than it pops (re-armed watchdogs) must not grow the heap without
-// bound. Compaction keeps the backlog at O(live entries).
-TEST(EventQueueHeap, CompactionBoundsMemoryUnderCancelChurn) {
-  EventQueue q(EventQueueKind::kHeap);
-  constexpr int kLive = 100;
-  std::vector<EventQueue::EventId> ids(kLive);
-  for (int i = 0; i < kLive; ++i) {
-    ids[i] = q.Schedule(1000 + i, [] {});
-  }
-  for (int round = 0; round < 1000; ++round) {
-    for (int i = 0; i < kLive; ++i) {
-      q.Cancel(ids[i]);
-      ids[i] = q.Schedule(100000 + round * kLive + i, [] {});
+      EXPECT_GT(t, prev);
     }
   }
-  const EventQueueStats& s = q.stats();
-  EXPECT_EQ(q.size(), static_cast<size_t>(kLive));
-  // 100k cancels happened; without compaction the backlog would be ~100k.
-  EXPECT_GT(s.heap_compactions, 0u);
-  EXPECT_LE(s.backlog, static_cast<size_t>(3 * kLive + 64));
 }
 
 // After warm-up, the calendar recycles everything: popping and rescheduling
 // at the same population must not carve new arena chunks.
 TEST(EventQueueCalendar, SteadyStateReusesArenaNodes) {
-  EventQueue q(EventQueueKind::kCalendar);
+  EventQueue q;
   for (int i = 0; i < 2000; ++i) {
-    q.Schedule(10 + i, [] {});
+    q.Schedule(10 + i, Payload(0));
   }
   uint64_t warm_allocs = q.stats().node_allocs;
   int64_t t = 10;
   for (int i = 0; i < 50000; ++i) {
     t = q.NextTime();
     q.PopNext();
-    q.Schedule(t + 2000, [] {});
+    q.Schedule(t + 2000, Payload(0));
   }
   EXPECT_EQ(q.stats().node_allocs, warm_allocs);
   EXPECT_EQ(q.size(), 2000u);
 }
 
+// Records every event it receives, with the clock at firing time. An event
+// of kind kChain re-schedules itself `payload` more times, 10 ns apart; one
+// of kind kNested schedules a kind-kLeaf event at the same instant.
+class Recorder : public EventOwner {
+ public:
+  enum Kind : uint32_t { kLeaf = 0, kChain = 1, kNested = 2 };
+  struct Fired {
+    TimeNs time;
+    uint32_t kind;
+    uint64_t payload;
+    bool operator==(const Fired&) const = default;
+  };
+
+  explicit Recorder(Simulator* sim) : sim_(sim) {}
+
+  void OnEvent(uint32_t kind, uint64_t payload) override {
+    fired.push_back({sim_->Now(), kind, payload});
+    if (kind == kChain && payload > 0) {
+      sim_->After(10, {this, kChain, payload - 1});
+    } else if (kind == kNested) {
+      sim_->After(0, {this, kLeaf, payload + 1});
+      fired.push_back({sim_->Now(), kind, payload + 2});
+    }
+  }
+
+  std::vector<Fired> fired;
+
+ private:
+  Simulator* sim_;
+};
+
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator sim;
-  TimeNs seen = -1;
-  sim.At(100, [&] { seen = sim.Now(); });
+  Recorder rec(&sim);
+  sim.At(100, {&rec});
   sim.RunUntil(1000);
-  EXPECT_EQ(seen, 100);
+  EXPECT_EQ(rec.fired, (std::vector<Recorder::Fired>{{100, 0, 0}}));
   EXPECT_EQ(sim.Now(), 1000);
 }
 
 TEST(Simulator, RunUntilStopsBeforeLaterEvents) {
   Simulator sim;
-  int fired = 0;
-  sim.At(100, [&] { ++fired; });
-  sim.At(200, [&] { ++fired; });
+  Recorder rec(&sim);
+  sim.At(100, {&rec});
+  sim.At(200, {&rec});
   sim.RunUntil(150);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rec.fired.size(), 1u);
   EXPECT_EQ(sim.Now(), 150);
   sim.RunUntil(300);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(rec.fired.size(), 2u);
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {
   Simulator sim;
-  int chain = 0;
-  std::function<void()> next = [&] {
-    ++chain;
-    if (chain < 10) {
-      sim.After(10, next);
-    }
-  };
-  sim.After(10, next);
+  Recorder rec(&sim);
+  sim.After(10, {&rec, Recorder::kChain, 9});
   sim.RunAll();
-  EXPECT_EQ(chain, 10);
+  EXPECT_EQ(rec.fired.size(), 10u);
   EXPECT_EQ(sim.Now(), 100);
   EXPECT_EQ(sim.events_processed(), 10u);
 }
@@ -220,10 +212,16 @@ TEST(Simulator, EventsCanScheduleEvents) {
 // type (not compiled out under NDEBUG), fatal on violation.
 TEST(SimulatorDeathTest, SchedulingAnEventInThePastIsFatal) {
   Simulator sim;
-  sim.At(100, [] {});
+  Recorder rec(&sim);
+  sim.At(100, {&rec});
   sim.RunAll();
   ASSERT_EQ(sim.Now(), 100);
-  EXPECT_DEATH(sim.At(50, [] {}), "event scheduled in the past");
+  EXPECT_DEATH(sim.At(50, {&rec}), "event scheduled in the past");
+}
+
+TEST(SimulatorDeathTest, SchedulingAnEventWithoutAnOwnerIsFatal) {
+  Simulator sim;
+  EXPECT_DEATH(sim.At(50, {}), "without an owner");
 }
 
 TEST(SimulatorDeathTest, PoppingAnEmptyQueueIsFatal) {
@@ -231,16 +229,17 @@ TEST(SimulatorDeathTest, PoppingAnEmptyQueueIsFatal) {
   EXPECT_DEATH(q.PopNext(), "empty event queue");
 }
 
+// An event scheduled from a handler for the same instant runs after the
+// handler finishes, in scheduling order.
 TEST(Simulator, AfterZeroRunsAtSameTimeInOrder) {
   Simulator sim;
-  std::vector<int> order;
-  sim.At(50, [&] {
-    order.push_back(1);
-    sim.After(0, [&] { order.push_back(3); });
-    order.push_back(2);
-  });
+  Recorder rec(&sim);
+  sim.At(50, {&rec, Recorder::kNested, 1});
   sim.RunAll();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(rec.fired, (std::vector<Recorder::Fired>{
+                           {50, Recorder::kNested, 1},
+                           {50, Recorder::kNested, 3},
+                           {50, Recorder::kLeaf, 2}}));
   EXPECT_EQ(sim.Now(), 50);
 }
 

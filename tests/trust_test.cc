@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -107,15 +106,10 @@ TEST(DeadlineSanitizer, FloorBindingBudgetDistrustsReplanForcer) {
   // planner is forced to replan at its maximum rate and the budget (128
   // fresh bindings per 100 ms window) trips well inside the second window.
   SharedSchedPage& page = g->vm()->shared_page();
-  Simulator& sim = exp.sim();
-  std::function<void()> pump = [&] {
-    if (sim.Now() >= Ms(180)) {
-      return;
-    }
-    page.PublishNextDeadline(0, sim.Now() + Us(300));
-    sim.After(Us(200), pump);
-  };
-  sim.After(Us(200), pump);
+  for (TimeNs t = Us(200); t < Ms(180); t += Us(200)) {
+    exp.Run(t);
+    page.PublishNextDeadline(0, t + Us(300));
+  }
   exp.Run(Ms(200));
   EXPECT_GE(exp.dpwrap()->replan_budget_trips(), 1u);
 }

@@ -158,9 +158,8 @@ TEST(Churn, RejectedEpisodesReleaseNoBandwidth) {
   ChurnDriver churn(g, ccfg, exp.rng().Fork(), &mon);
   churn.Start();
   // Mid-run invariant: admission control never over-commits the host.
-  exp.sim().At(Sec(30), [&exp] {
-    EXPECT_LE(exp.dpwrap()->total_reserved(), Bandwidth::Cpus(1));
-  });
+  exp.Run(Sec(30));
+  EXPECT_LE(exp.dpwrap()->total_reserved(), Bandwidth::Cpus(1));
   exp.Run(Sec(70));
 
   EXPECT_GT(churn.rtas_started(), 0);
@@ -191,10 +190,9 @@ TEST(ChurnWorkload, TierKnobsPropagateToRtas) {
   ccfg.admission_retry = Ms(50);
   ChurnDriver churn(g, ccfg, exp.rng().Fork(), nullptr);
   churn.Start();
-  exp.sim().At(Ms(150), [&churn] {
-    // Staggering is offset by start_at: nothing registers before it.
-    EXPECT_EQ(churn.rtas_started(), 0);
-  });
+  exp.Run(Ms(150));
+  // Staggering is offset by start_at: nothing registers before it.
+  EXPECT_EQ(churn.rtas_started(), 0);
   exp.Run(Sec(2) + Ms(100));
   ASSERT_GT(churn.rtas_started(), 0);
   for (const auto& rta : churn.rtas()) {
