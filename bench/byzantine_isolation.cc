@@ -180,14 +180,15 @@ int ByzantineIsolation() {
     table.AddRow({ModeName(mode), std::to_string(r.admitted) + "/" + std::to_string(r.total),
                   std::to_string(r.ontime), std::to_string(r.missed),
                   std::to_string(r.replans),
-                  std::to_string(r.rc.adversarial_deadline_lies),
-                  std::to_string(r.rc.adversarial_storm_calls),
-                  std::to_string(r.rc.adversarial_thrash_calls),
-                  std::to_string(r.rc.deadline_lie_rejections),
-                  std::to_string(r.rc.hypercall_rate_rejections),
-                  std::to_string(r.rc.quarantines), std::to_string(r.rc.quarantine_releases),
-                  std::to_string(r.rc.isolation_violations) + "/" +
-                      std::to_string(r.rc.audit_checks)});
+                  std::to_string(r.rc.faults.deadline_lies),
+                  std::to_string(r.rc.faults.storm_calls),
+                  std::to_string(r.rc.faults.thrash_calls),
+                  std::to_string(r.rc.host.deadline_lie_rejections),
+                  std::to_string(r.rc.host.hypercall_rate_rejections),
+                  std::to_string(r.rc.host.quarantines),
+                  std::to_string(r.rc.host.quarantine_releases),
+                  std::to_string(r.rc.audit.isolation_violations) + "/" +
+                      std::to_string(r.rc.audit.checks_run)});
     switch (mode) {
       case Mode::kBaseline:
         baseline = r;
@@ -204,23 +205,23 @@ int ByzantineIsolation() {
 
   bool contained = hardened.missed == baseline.missed &&
                    hardened.admitted == hardened.total && baseline.missed == 0;
-  bool isolated = hardened.rc.audit_checks > 0 && hardened.rc.isolation_violations == 0 &&
-                  hardened.rc.audit_violations == 0;
-  bool defended = hardened.rc.quarantines > 0 && hardened.rc.quarantine_releases > 0 &&
-                  hardened.rc.deadline_lie_rejections > 0 &&
-                  hardened.rc.hypercall_rate_rejections > 0;
+  bool isolated = hardened.rc.audit.checks_run > 0 && hardened.rc.audit.isolation_violations == 0 &&
+                  hardened.rc.audit.total_violations == 0;
+  bool defended = hardened.rc.host.quarantines > 0 && hardened.rc.host.quarantine_releases > 0 &&
+                  hardened.rc.host.deadline_lie_rejections > 0 &&
+                  hardened.rc.host.hypercall_rate_rejections > 0;
   bool naive_shows = naive.missed > 0;
   std::cout << "check: hardened victim misses " << hardened.missed << " == baseline "
             << baseline.missed << " => " << (contained ? "PASS" : "FAIL")
             << " (0 extra HIGH-tier misses under attack)\n";
-  std::cout << "check: isolation violations " << hardened.rc.isolation_violations << "/"
-            << hardened.rc.audit_checks << " checks, audit total "
-            << hardened.rc.audit_violations << " => " << (isolated ? "PASS" : "FAIL")
+  std::cout << "check: isolation violations " << hardened.rc.audit.isolation_violations << "/"
+            << hardened.rc.audit.checks_run << " checks, audit total "
+            << hardened.rc.audit.total_violations << " => " << (isolated ? "PASS" : "FAIL")
             << " (well-behaved allocations met their fluid share)\n";
-  std::cout << "check: quarantines=" << hardened.rc.quarantines
-            << " releases=" << hardened.rc.quarantine_releases
-            << " lie_rej=" << hardened.rc.deadline_lie_rejections
-            << " rate_rej=" << hardened.rc.hypercall_rate_rejections << " => "
+  std::cout << "check: quarantines=" << hardened.rc.host.quarantines
+            << " releases=" << hardened.rc.host.quarantine_releases
+            << " lie_rej=" << hardened.rc.host.deadline_lie_rejections
+            << " rate_rej=" << hardened.rc.host.hypercall_rate_rejections << " => "
             << (defended ? "PASS" : "FAIL")
             << " (every defense fired; the VM was rehabilitated after the campaign)\n";
   std::cout << "check: naive victim misses " << naive.missed << " => "

@@ -21,12 +21,14 @@
 // --smoke runs the single jobs=4 crash-resume scenario (the TSan CI job).
 // Exits nonzero on any gate failure.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -197,7 +199,10 @@ void CrashResumeSweep(int jobs, const std::string& reference_payload,
   cfg.jobs = jobs;
   cfg.isolation = sweep::Isolation::kProcess;
   cfg.max_attempts = 3;
-  cfg.shard_deadline_ms = watchdog_ms;
+  // With more jobs than cores the shards share CPUs, so a clean shard takes
+  // proportionally more wall time; scale its deadline by that oversubscription.
+  const int64_t cores = std::max(1u, std::thread::hardware_concurrency());
+  cfg.shard_deadline_ms = watchdog_ms * std::max<int64_t>(1, (jobs + cores - 1) / cores);
   cfg.backoff_initial_ms = 1;
   cfg.base_seed = 7;
   cfg.checkpoint_dir = dir;

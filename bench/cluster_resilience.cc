@@ -311,13 +311,14 @@ void ResilienceTimeline(bool& failed) {
     TimelineResult r = RunTimeline(mode);
     table.AddRow({ModeName(mode), std::to_string(r.hi.ontime), std::to_string(r.hi.missed),
                   std::to_string(r.lo.ontime), std::to_string(r.lo.missed),
-                  std::to_string(r.rc.evacuations), std::to_string(r.rc.migration_retries),
-                  std::to_string(r.rc.migration_aborts),
-                  std::to_string(r.rc.degraded_placements),
-                  std::to_string(r.rc.evacuations_unresolved),
-                  std::to_string(r.rc.vm_unavailable_ns / Ms(1)),
-                  std::to_string(r.rc.audit_violations) + "/" +
-                      std::to_string(r.rc.audit_checks)});
+                  std::to_string(r.rc.cluster.evacuations),
+                  std::to_string(r.rc.cluster.migration_retries),
+                  std::to_string(r.rc.cluster.migration_aborts),
+                  std::to_string(r.rc.cluster.degraded_placements),
+                  std::to_string(r.rc.cluster.evacuations_unresolved),
+                  std::to_string(r.rc.cluster.vm_unavailable_ns / Ms(1)),
+                  std::to_string(r.rc.audit.total_violations) + "/" +
+                      std::to_string(r.rc.audit.checks_run)});
     switch (mode) {
       case Mode::kHardened:
         hardened = r;
@@ -333,30 +334,31 @@ void ResilienceTimeline(bool& failed) {
   table.Print(std::cout);
 
   bool hardened_ok = hardened.hi.missed == 0 && !hardened.lost_any &&
-                     hardened.rc.evacuations > 0 && hardened.rc.migration_retries > 0 &&
-                     hardened.rc.migration_aborts > 0 &&
-                     hardened.rc.degraded_placements > 0 &&
-                     hardened.rc.evacuations_unresolved == 0;
-  bool audit_ok = hardened.rc.audit_checks > 0 && hardened.rc.audit_violations == 0;
+                     hardened.rc.cluster.evacuations > 0 &&
+                     hardened.rc.cluster.migration_retries > 0 &&
+                     hardened.rc.cluster.migration_aborts > 0 &&
+                     hardened.rc.cluster.degraded_placements > 0 &&
+                     hardened.rc.cluster.evacuations_unresolved == 0;
+  bool audit_ok = hardened.rc.audit.checks_run > 0 && hardened.rc.audit.total_violations == 0;
   bool throughput_ok = hardened.hi.ontime > frozen.hi.ontime;
-  bool noretry_shows = noretry.rc.evacuations_unresolved > 0;
+  bool noretry_shows = noretry.rc.cluster.evacuations_unresolved > 0;
   bool frozen_shows = frozen.hi.missed > 0;
   std::cout << "check: hardened hi missed=" << hardened.hi.missed
-            << " evac=" << hardened.rc.evacuations
-            << " retries=" << hardened.rc.migration_retries
-            << " aborts=" << hardened.rc.migration_aborts
-            << " degraded=" << hardened.rc.degraded_placements << " => "
+            << " evac=" << hardened.rc.cluster.evacuations
+            << " retries=" << hardened.rc.cluster.migration_retries
+            << " aborts=" << hardened.rc.cluster.migration_aborts
+            << " degraded=" << hardened.rc.cluster.degraded_placements << " => "
             << (hardened_ok ? "PASS" : "FAIL")
             << " (every evacuee re-homed, HIGH missed nothing)\n";
-  std::cout << "check: audit checks=" << hardened.rc.audit_checks
-            << " violations=" << hardened.rc.audit_violations << " => "
+  std::cout << "check: audit checks=" << hardened.rc.audit.checks_run
+            << " violations=" << hardened.rc.audit.total_violations << " => "
             << (audit_ok ? "PASS" : "FAIL")
             << " (every surviving host's plan stayed within effective capacity)\n";
   std::cout << "check: hardened hi ontime=" << hardened.hi.ontime
             << " frozen hi ontime=" << frozen.hi.ontime << " => "
             << (throughput_ok ? "PASS" : "FAIL")
             << " (recovery preserved HIGH throughput the frozen cluster lost)\n";
-  std::cout << "check: noretry unresolved=" << noretry.rc.evacuations_unresolved
+  std::cout << "check: noretry unresolved=" << noretry.rc.cluster.evacuations_unresolved
             << " frozen hi missed=" << frozen.hi.missed << " => "
             << (noretry_shows && frozen_shows ? "PASS" : "FAIL")
             << " (single-attempt evacuation abandons VMs; frozen cluster misses)\n";
@@ -422,8 +424,8 @@ SoakOutcome RunSoak(uint64_t seed) {
 
   SoakOutcome out;
   ResilienceCounters rc = fed.resilience();
-  out.audit_clean = rc.audit_checks > 0 && rc.audit_violations == 0;
-  out.none_lost = rc.evacuations_unresolved == 0;
+  out.audit_clean = rc.audit.checks_run > 0 && rc.audit.total_violations == 0;
+  out.none_lost = rc.cluster.evacuations_unresolved == 0;
   out.all_home = true;
   for (int h = 0; h < kSoakHosts; ++h) {
     for (const char* tier : {"hi", "lo"}) {

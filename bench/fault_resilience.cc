@@ -206,8 +206,9 @@ void TransientSweep() {
       ResilienceCounters rc = s.exp->resilience();
       double miss = s.monitor.TotalMissRatio();
       table.AddRow({TablePrinter::Fmt(p, 2), mode == Mode::kNoRetry ? "no-retry" : "resilient",
-                    Pct(miss), std::to_string(failed), std::to_string(rc.retries),
-                    std::to_string(rc.degraded_entries), std::to_string(rc.recoveries)});
+                    Pct(miss), std::to_string(failed), std::to_string(rc.channel.retries),
+                    std::to_string(rc.channel.degraded_entries),
+                    std::to_string(rc.channel.recoveries)});
       if (p == 0.0 && mode == Mode::kResilient) {
         fault_free = miss;
       }
@@ -255,11 +256,13 @@ void DegradedModeDrill() {
   ResilienceCounters rc = s.exp->resilience();
   PrintResilience(std::cout, rc);
   std::cout << "overall miss ratio: " << Pct(s.monitor.TotalMissRatio()) << "\n";
-  bool ok = rc.degraded_entries > 0 && rc.recoveries > 0 && rc.vm_crashes == 1 &&
-            rc.vm_restarts == 1 && rc.watchdog_reclaims >= 1;
-  std::cout << "check: degraded=" << rc.degraded_entries << " recovered=" << rc.recoveries
-            << " crashes=" << rc.vm_crashes << " restarts=" << rc.vm_restarts
-            << " reclaims=" << rc.watchdog_reclaims << " => " << (ok ? "PASS" : "FAIL")
+  bool ok = rc.channel.degraded_entries > 0 && rc.channel.recoveries > 0 &&
+            rc.faults.vm_crashes == 1 && rc.faults.vm_restarts == 1 &&
+            rc.host.watchdog_reclaims >= 1;
+  std::cout << "check: degraded=" << rc.channel.degraded_entries
+            << " recovered=" << rc.channel.recoveries
+            << " crashes=" << rc.faults.vm_crashes << " restarts=" << rc.faults.vm_restarts
+            << " reclaims=" << rc.host.watchdog_reclaims << " => " << (ok ? "PASS" : "FAIL")
             << "\n";
 }
 

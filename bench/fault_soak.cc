@@ -187,11 +187,11 @@ SoakResult SoakOne(uint64_t seed) {
   r.rc = exp.resilience();
   r.planned_faults = cfg.faults.pcpu_faults.size();
   r.svc_quarantined = exp.dpwrap()->Quarantined(svc->vm());
-  if (exp.auditor() == nullptr || r.rc.audit_checks == 0) {
+  if (exp.auditor() == nullptr || r.rc.audit.checks_run == 0) {
     r.why = "auditor never ran";
-  } else if (r.rc.isolation_violations > 0 || r.rc.audit_violations > 0) {
-    r.why = r.rc.isolation_violations > 0 ? "isolation invariant violated"
-                                          : "audit violations";
+  } else if (r.rc.audit.isolation_violations > 0 || r.rc.audit.total_violations > 0) {
+    r.why = r.rc.audit.isolation_violations > 0 ? "isolation invariant violated"
+                                                : "audit violations";
     std::ostringstream notes;
     for (const AuditViolation& v : exp.auditor()->violations()) {
       notes << "  seed " << seed << " violation @" << v.time << " ns [" << v.invariant
@@ -199,16 +199,16 @@ SoakResult SoakOne(uint64_t seed) {
     }
     r.notes = notes.str();
   } else if (r.planned_faults > 0 &&
-             r.rc.pcpu_offline_events + r.rc.pcpu_degrade_events == 0) {
+             r.rc.faults.pcpu_offline_events + r.rc.faults.pcpu_degrade_events == 0) {
     r.why = "planned faults never fired";
   } else if (!cfg.faults.adversarial_guests.empty() &&
-             r.rc.adversarial_deadline_lies + r.rc.adversarial_storm_calls +
-                     r.rc.adversarial_thrash_calls == 0) {
+             r.rc.faults.deadline_lies + r.rc.faults.storm_calls +
+                     r.rc.faults.thrash_calls == 0) {
     r.why = "adversarial campaign never fired";
   } else if (!cfg.faults.adversarial_guests.empty() &&
-             (r.rc.quarantines == 0 || r.rc.quarantine_releases == 0)) {
+             (r.rc.host.quarantines == 0 || r.rc.host.quarantine_releases == 0)) {
     r.why = "byzantine VM not quarantined and rehabilitated";
-  } else if (r.rc.control_decisions == 0) {
+  } else if (r.rc.control.decisions == 0) {
     r.why = "SLO controller never decided";
   } else if (r.svc_quarantined) {
     r.why = "controller tenant quarantined";
@@ -223,11 +223,11 @@ SoakResult SoakOne(uint64_t seed) {
 std::string RowFor(uint64_t seed, const SoakResult& r) {
   std::ostringstream os;
   os << seed << '\t' << r.planned_faults << '\t' << r.rc.pcpu_evacuations << '\t'
-     << r.rc.capacity_replans << '\t' << r.rc.sheds << '\t' << r.rc.resumes << '\t'
-     << r.rc.deadline_lie_rejections << '\t' << r.rc.hypercall_rate_rejections << '\t'
-     << r.rc.quarantines << '/' << r.rc.quarantine_releases << '\t'
-     << r.rc.control_inc_adjustments << '/' << r.rc.control_dec_adjustments << '\t'
-     << r.rc.audit_violations << '/' << r.rc.audit_checks << '\t'
+     << r.rc.host.capacity_replans << '\t' << r.rc.guest.sheds << '\t' << r.rc.guest.resumes << '\t'
+     << r.rc.host.deadline_lie_rejections << '\t' << r.rc.host.hypercall_rate_rejections << '\t'
+     << r.rc.host.quarantines << '/' << r.rc.host.quarantine_releases << '\t'
+     << r.rc.control.inc_adjustments << '/' << r.rc.control.dec_adjustments << '\t'
+     << r.rc.audit.total_violations << '/' << r.rc.audit.checks_run << '\t'
      << (r.ok ? "ok" : r.why);
   if (!r.notes.empty()) {
     os << '\n' << r.notes;

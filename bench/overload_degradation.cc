@@ -159,8 +159,8 @@ RampResult RunRamp(Mode mode) {
   r.lo = Summarize(lo_churn, lo_mon);
   r.rc = exp.resilience();
   if (exp.auditor() != nullptr) {
-    r.audit_checks = exp.auditor()->checks_run();
-    r.audit_violations = exp.auditor()->total_violations();
+    r.audit_checks = exp.auditor()->stats().checks_run;
+    r.audit_violations = exp.auditor()->stats().total_violations;
     for (const AuditViolation& v : exp.auditor()->violations()) {
       std::cout << "audit violation @" << v.time << " ns [" << v.invariant << "] "
                 << v.detail << "\n";
@@ -184,10 +184,10 @@ void OverloadRamp() {
     RampResult r = RunRamp(mode);
     table.AddRow({ModeName(mode), Adm(r.hi), std::to_string(r.hi.ontime), Pct(r.hi.miss),
                   Adm(r.med), Pct(r.med.miss), Adm(r.lo), Pct(r.lo.miss),
-                  std::to_string(r.rc.sheds), std::to_string(r.rc.compressions),
-                  std::to_string(r.rc.resumes), std::to_string(r.rc.expansions),
-                  std::to_string(r.rc.pressure_raises) + "/" +
-                      std::to_string(r.rc.pressure_clears)});
+                  std::to_string(r.rc.guest.sheds), std::to_string(r.rc.guest.compressions),
+                  std::to_string(r.rc.guest.resumes), std::to_string(r.rc.guest.expansions),
+                  std::to_string(r.rc.host.pressure_raises) + "/" +
+                      std::to_string(r.rc.host.pressure_clears)});
     switch (mode) {
       case Mode::kShed:
         shed = r;
@@ -203,12 +203,12 @@ void OverloadRamp() {
   table.Print(std::cout);
 
   bool shed_ok = shed.hi.admitted == shed.hi.total && shed.hi.miss <= 0.005 &&
-                 shed.rc.sheds > 0 && shed.rc.resumes > 0;
+                 shed.rc.guest.sheds > 0 && shed.rc.guest.resumes > 0;
   bool audit_ok = shed.audit_checks > 0 && shed.audit_violations == 0;
   bool binary_shows = binary.hi.admitted < binary.hi.total || binary.hi.miss > 0.02;
   bool none_shows = none.hi.miss > 0.02 || none.hi.ontime < shed.hi.ontime / 2;
   std::cout << "check: shed hi " << Adm(shed.hi) << " miss=" << Pct(shed.hi.miss)
-            << " sheds=" << shed.rc.sheds << " resumes=" << shed.rc.resumes << " => "
+            << " sheds=" << shed.rc.guest.sheds << " resumes=" << shed.rc.guest.resumes << " => "
             << (shed_ok ? "PASS" : "FAIL") << " (all HIGH admitted, ~0 misses)\n";
   std::cout << "check: audit checks=" << shed.audit_checks << " violations="
             << shed.audit_violations << " => " << (audit_ok ? "PASS" : "FAIL")

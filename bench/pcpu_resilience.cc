@@ -211,10 +211,10 @@ void ResilienceTimeline() {
     table.AddRow({ModeName(mode), Adm(r.hi), std::to_string(r.hi.ontime),
                   std::to_string(r.hi.missed), Pct(r.hi.miss), Adm(r.lo), Pct(r.lo.miss),
                   std::to_string(r.rc.pcpu_evacuations),
-                  std::to_string(r.rc.capacity_replans), std::to_string(r.rc.sheds),
-                  std::to_string(r.rc.resumes),
-                  std::to_string(r.rc.audit_violations) + "/" +
-                      std::to_string(r.rc.audit_checks)});
+                  std::to_string(r.rc.host.capacity_replans), std::to_string(r.rc.guest.sheds),
+                  std::to_string(r.rc.guest.resumes),
+                  std::to_string(r.rc.audit.total_violations) + "/" +
+                      std::to_string(r.rc.audit.checks_run)});
     switch (mode) {
       case Mode::kRecover:
         recover = r;
@@ -230,19 +230,19 @@ void ResilienceTimeline() {
   table.Print(std::cout);
 
   bool recover_ok = recover.hi.admitted == recover.hi.total && recover.hi.missed == 0 &&
-                    recover.rc.pcpu_evacuations > 0 && recover.rc.capacity_replans > 0;
-  bool audit_ok = recover.rc.audit_checks > 0 && recover.rc.audit_violations == 0;
-  bool shed_ok = recover.rc.sheds > 0 && recover.rc.resumes > 0;
+                    recover.rc.pcpu_evacuations > 0 && recover.rc.host.capacity_replans > 0;
+  bool audit_ok = recover.rc.audit.checks_run > 0 && recover.rc.audit.total_violations == 0;
+  bool shed_ok = recover.rc.guest.sheds > 0 && recover.rc.guest.resumes > 0;
   bool frozen_shows = frozen.hi.missed > 0;
   std::cout << "check: recover hi " << Adm(recover.hi) << " missed=" << recover.hi.missed
             << " evac=" << recover.rc.pcpu_evacuations
-            << " replans=" << recover.rc.capacity_replans << " => "
+            << " replans=" << recover.rc.host.capacity_replans << " => "
             << (recover_ok ? "PASS" : "FAIL")
             << " (HIGH misses nothing across the fault timeline)\n";
-  std::cout << "check: audit checks=" << recover.rc.audit_checks << " violations="
-            << recover.rc.audit_violations << " => " << (audit_ok ? "PASS" : "FAIL")
+  std::cout << "check: audit checks=" << recover.rc.audit.checks_run << " violations="
+            << recover.rc.audit.total_violations << " => " << (audit_ok ? "PASS" : "FAIL")
             << " (plan stayed within effective capacity)\n";
-  std::cout << "check: sheds=" << recover.rc.sheds << " resumes=" << recover.rc.resumes
+  std::cout << "check: sheds=" << recover.rc.guest.sheds << " resumes=" << recover.rc.guest.resumes
             << " => " << (shed_ok ? "PASS" : "FAIL")
             << " (LOW gave way at the trough and came back after heal)\n";
   std::cout << "check: frozen hi missed=" << frozen.hi.missed << " replan hi missed="

@@ -155,10 +155,10 @@ ModeResult RunMode(Mode mode, uint64_t seed) {
     r.unresolved_saturations = exp.controller()->unresolved_saturations();
     r.frozen_at_end = exp.controller()->Frozen(server.task());
   }
-  r.quarantines = exp.dpwrap()->quarantines();
+  r.quarantines = exp.dpwrap()->stats().quarantines;
   ResilienceCounters rc = exp.resilience();
-  r.audit_violations = rc.audit_violations;
-  r.outage_failures = rc.control_outage_failures;
+  r.audit_violations = rc.audit.total_violations;
+  r.outage_failures = rc.faults.control_outage_failures;
   return r;
 }
 

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/metrics/resilience.h"
 #include "src/sim/event_queue.h"
 
 namespace rtvirt {
@@ -79,11 +80,9 @@ class InvariantAuditor : public EventOwner {
 
   const AuditorConfig& config() const { return config_; }
   const std::vector<AuditViolation>& violations() const { return violations_; }
-  uint64_t total_violations() const { return total_violations_; }
-  // trust-isolation subset of the total: containment failures of the
-  // guest_trust boundary (stored violations are capped; this count is not).
-  uint64_t isolation_violations() const { return isolation_violations_; }
-  uint64_t checks_run() const { return checks_run_; }
+  // Passes run and violations found; isolation_violations is the
+  // trust-isolation subset of total_violations.
+  const AuditStats& stats() const { return stats_; }
 
  private:
   struct WatchedGuest {
@@ -100,9 +99,7 @@ class InvariantAuditor : public EventOwner {
   AuditorConfig config_;
   std::vector<WatchedGuest> guests_;
   std::vector<AuditViolation> violations_;
-  uint64_t total_violations_ = 0;
-  uint64_t isolation_violations_ = 0;
-  uint64_t checks_run_ = 0;
+  AuditStats stats_;
 };
 
 }  // namespace rtvirt

@@ -77,6 +77,14 @@ class Writer {
     U32(static_cast<uint32_t>(s.size()));
     out_.append(s.data(), s.size());
   }
+  // Writes the counters `fields` (uint64_t member pointers) of `s` in list
+  // order; by default every counter in S::kFields.
+  template <class S, class Fields = decltype(S::kFields)>
+  void Counters(const S& s, const Fields& fields = S::kFields) {
+    for (auto field : fields) {
+      U64(s.*field);
+    }
+  }
   const std::string& data() const { return out_; }
   std::string Take() { return std::move(out_); }
 
@@ -125,6 +133,13 @@ class Reader {
     std::string s(data_.substr(pos_, n));
     pos_ += n;
     return s;
+  }
+  // Reads what Writer::Counters wrote for the same `fields`.
+  template <class S, class Fields = decltype(S::kFields)>
+  void Counters(S& s, const Fields& fields = S::kFields) {
+    for (auto field : fields) {
+      s.*field = U64();
+    }
   }
 
   bool ok() const { return ok_; }

@@ -103,7 +103,7 @@ std::optional<int> Federation::AdmitVm(const ClusterVmSpec& spec) {
   std::optional<int> host = placer_.Place(req);
   if (!host.has_value()) {
     if (auto plan = placer_.PlanRebalance(req); plan.has_value()) {
-      ++counters_.migration_rebalances;
+      ++stats_.migration_rebalances;
       for (const MigrationStep& step : plan->steps) {
         MoveVm(step);
       }
@@ -111,10 +111,10 @@ std::optional<int> Federation::AdmitVm(const ClusterVmSpec& spec) {
     }
   }
   if (!host.has_value()) {
-    ++counters_.cluster_vms_rejected;
+    ++stats_.vms_rejected;
     return std::nullopt;
   }
-  ++counters_.cluster_vms_admitted;
+  ++stats_.vms_admitted;
   vms_.push_back(ClusterVm{spec});
   size_t idx = vms_.size() - 1;
   vms_[idx].host = *host;
@@ -216,7 +216,7 @@ void Federation::AbortInFlightTo(int host) {
     placer_.Remove(vms_[pm.vm].spec.name);
     pm.target = -1;
     pm.due = now_;
-    ++counters_.migration_aborts;
+    ++stats_.migration_aborts;
   }
 }
 
@@ -229,9 +229,9 @@ void Federation::ApplyHostEvent(const HostEvent& e) {
       bool crash = e.kind == HostEvent::Kind::kCrash;
       h.state = crash ? HostState::kCrashed : HostState::kDown;
       if (crash) {
-        ++counters_.host_crashes;
+        ++stats_.host_crashes;
       } else {
-        ++counters_.host_outages;
+        ++stats_.host_outages;
       }
       SetHostOnline(e.host, false);
       if (!ft) {
@@ -245,14 +245,14 @@ void Federation::ApplyHostEvent(const HostEvent& e) {
         }
         TakeDown(i);
         placer_.Remove(vms_[i].spec.name);
-        ++counters_.evacuations;
+        ++stats_.evacuations;
         pendings_.push_back(PendingMigration{i, now_, now_, 0, -1, false, seq_++});
       }
       break;
     }
     case HostEvent::Kind::kUp:
       h.state = HostState::kHealthy;
-      ++counters_.host_heals;
+      ++stats_.host_heals;
       SetHostOnline(e.host, true);
       if (ft) {
         placer_.SetHostAvailable(e.host, true);
@@ -261,7 +261,7 @@ void Federation::ApplyHostEvent(const HostEvent& e) {
     case HostEvent::Kind::kThrottle:
       h.state = HostState::kDegraded;
       h.factor = e.factor;
-      ++counters_.host_degrades;
+      ++stats_.host_degrades;
       SetHostSpeed(e.host, e.factor);
       if (ft) {
         placer_.SetHostCapacityFactor(e.host, e.factor);
@@ -270,7 +270,7 @@ void Federation::ApplyHostEvent(const HostEvent& e) {
     case HostEvent::Kind::kHeal:
       h.state = HostState::kHealthy;
       h.factor = 1.0;
-      ++counters_.host_heals;
+      ++stats_.host_heals;
       SetHostSpeed(e.host, 1.0);
       if (ft) {
         placer_.SetHostCapacityFactor(e.host, 1.0);
@@ -282,7 +282,7 @@ void Federation::ApplyHostEvent(const HostEvent& e) {
 void Federation::MoveVm(const MigrationStep& step) {
   size_t i = IndexOf(step.vm);
   ClusterVm& vm = vms_[i];
-  ++counters_.rebalance_moves;
+  ++stats_.rebalance_moves;
   if (PendingMigration* pm = PendingFor(i)) {
     // The rebalancer relocated a booking whose copy is still in flight:
     // redirect the copy; the blackout already being paid keeps running.
@@ -313,11 +313,11 @@ void Federation::Land(size_t idx) {
   ++vm.generation;
   vm.degraded = pm.degraded;
   vm.guest = hosts_[vm.host].exp->AddGuest(vm.spec.name, vm.spec.vcpus, vm.spec.guest);
-  ++counters_.migration_successes;
+  ++stats_.migration_successes;
   if (pm.degraded) {
-    ++counters_.degraded_placements;
+    ++stats_.degraded_placements;
   }
-  counters_.vm_unavailable_ns += now_ - pm.started;
+  stats_.vm_unavailable_ns += now_ - pm.started;
   if (launcher_) {
     launcher_(*hosts_[vm.host].exp, vm.guest, vm.spec, vm.host, vm.generation);
   }
@@ -331,12 +331,12 @@ void Federation::TryPlace(size_t idx) {
   if (!pm.degraded && now_ - pm.started >= deadline) {
     pm.degraded = true;
   }
-  ++counters_.migration_attempts;
+  ++stats_.migration_attempts;
   VmPlacementRequest req = RequestFor(vm.spec);
   std::optional<int> host = placer_.Place(req, pm.degraded);
   if (!host.has_value()) {
     if (auto plan = placer_.PlanRebalance(req, pm.degraded); plan.has_value()) {
-      ++counters_.migration_rebalances;
+      ++stats_.migration_rebalances;
       for (const MigrationStep& step : plan->steps) {
         MoveVm(step);
       }
@@ -353,12 +353,12 @@ void Federation::TryPlace(size_t idx) {
   }
   ++pm.attempts;
   if (pm.attempts >= ft.max_attempts) {
-    ++counters_.evacuations_unresolved;
+    ++stats_.evacuations_unresolved;
     vm.lost = true;
     pendings_.erase(pendings_.begin() + static_cast<ptrdiff_t>(idx));
     return;
   }
-  ++counters_.migration_retries;
+  ++stats_.migration_retries;
   TimeNs backoff = ft.backoff_initial;
   for (int i = 1; i < pm.attempts && backoff < ft.backoff_cap; ++i) {
     backoff = static_cast<TimeNs>(static_cast<double>(backoff) * ft.backoff_factor);
@@ -385,7 +385,8 @@ Federation::VmStatus Federation::vm_status(const std::string& name) const {
 }
 
 ResilienceCounters Federation::resilience() const {
-  ResilienceCounters total = counters_;
+  ResilienceCounters total;
+  total.cluster = stats_;
   for (const Host& h : hosts_) {
     AccumulateResilience(total, h.exp->resilience());
   }
@@ -395,49 +396,6 @@ ResilienceCounters Federation::resilience() const {
 void Federation::PrintReport(std::ostream& out, const std::string& title) const {
   PrintExperimentReport(out, title, resilience());
 }
-
-namespace {
-
-// The cluster slice of ResilienceCounters, in declaration order.
-void SaveClusterCounters(ckpt::Writer& w, const ResilienceCounters& c) {
-  w.U64(c.host_crashes);
-  w.U64(c.host_outages);
-  w.U64(c.host_degrades);
-  w.U64(c.host_heals);
-  w.U64(c.cluster_vms_admitted);
-  w.U64(c.cluster_vms_rejected);
-  w.U64(c.evacuations);
-  w.U64(c.migration_attempts);
-  w.U64(c.migration_retries);
-  w.U64(c.migration_rebalances);
-  w.U64(c.rebalance_moves);
-  w.U64(c.migration_aborts);
-  w.U64(c.migration_successes);
-  w.U64(c.degraded_placements);
-  w.U64(c.evacuations_unresolved);
-  w.I64(c.vm_unavailable_ns);
-}
-
-void RestoreClusterCounters(ckpt::Reader& r, ResilienceCounters* c) {
-  c->host_crashes = r.U64();
-  c->host_outages = r.U64();
-  c->host_degrades = r.U64();
-  c->host_heals = r.U64();
-  c->cluster_vms_admitted = r.U64();
-  c->cluster_vms_rejected = r.U64();
-  c->evacuations = r.U64();
-  c->migration_attempts = r.U64();
-  c->migration_retries = r.U64();
-  c->migration_rebalances = r.U64();
-  c->rebalance_moves = r.U64();
-  c->migration_aborts = r.U64();
-  c->migration_successes = r.U64();
-  c->degraded_placements = r.U64();
-  c->evacuations_unresolved = r.U64();
-  c->vm_unavailable_ns = r.I64();
-}
-
-}  // namespace
 
 std::string Federation::SaveCheckpoint(ckpt::Image* out) const {
   if (!pendings_.empty()) {
@@ -479,7 +437,7 @@ std::string Federation::SaveCheckpoint(ckpt::Image* out) const {
       w.I64(vm.host);
       w.Bool(vm.degraded);
     }
-    SaveClusterCounters(w, counters_);
+    w.Counters(stats_);
     out->sections.push_back({"federation", w.Take()});
   }
   for (size_t i = 0; i < hosts_.size(); ++i) {
@@ -546,7 +504,7 @@ std::string Federation::RestoreCheckpoint(const ckpt::Image& image) {
              std::to_string(host) + ", rebuilt host " + std::to_string(vms_[i].host) + ")";
     }
   }
-  RestoreClusterCounters(r, &counters_);
+  r.Counters(stats_);
   if (!r.ok() || !r.AtEnd()) {
     return "federation: malformed section 'federation'";
   }

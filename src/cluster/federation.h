@@ -246,8 +246,8 @@ class Federation {
   TimeNs now_ = 0;
   Launcher launcher_;
   Teardown teardown_;
-  // The federation's slice of ResilienceCounters (cluster section only).
-  ResilienceCounters counters_;
+  // The federation's own counters; hosts keep theirs.
+  ClusterStats stats_;
 };
 
 }  // namespace rtvirt

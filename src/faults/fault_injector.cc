@@ -398,44 +398,14 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
 
 void FaultInjector::SaveState(ckpt::Writer& w) const {
   w.Str(rng_.SaveState());
-  w.U64(stats_.hypercall_attempts);
-  w.U64(stats_.injected_failures);
-  w.U64(stats_.injected_drops);
-  w.U64(stats_.injected_spikes);
-  w.U64(stats_.outage_failures);
-  w.U64(stats_.vm_crashes);
-  w.U64(stats_.vm_restarts);
-  w.U64(stats_.pcpu_offline_events);
-  w.U64(stats_.pcpu_online_events);
-  w.U64(stats_.pcpu_degrade_events);
-  w.U64(stats_.pcpu_heal_events);
-  w.U64(stats_.deadline_lies);
-  w.U64(stats_.storm_calls);
-  w.U64(stats_.thrash_calls);
-  w.U64(stats_.control_outage_failures);
-  w.U64(stats_.control_stale_windows);
+  w.Counters(stats_);
 }
 
 std::string FaultInjector::RestoreState(ckpt::Reader& r) {
   if (!rng_.RestoreState(r.Str())) {
     return "faults: malformed RNG state";
   }
-  stats_.hypercall_attempts = r.U64();
-  stats_.injected_failures = r.U64();
-  stats_.injected_drops = r.U64();
-  stats_.injected_spikes = r.U64();
-  stats_.outage_failures = r.U64();
-  stats_.vm_crashes = r.U64();
-  stats_.vm_restarts = r.U64();
-  stats_.pcpu_offline_events = r.U64();
-  stats_.pcpu_online_events = r.U64();
-  stats_.pcpu_degrade_events = r.U64();
-  stats_.pcpu_heal_events = r.U64();
-  stats_.deadline_lies = r.U64();
-  stats_.storm_calls = r.U64();
-  stats_.thrash_calls = r.U64();
-  stats_.control_outage_failures = r.U64();
-  stats_.control_stale_windows = r.U64();
+  r.Counters(stats_);
   if (!r.ok()) {
     return "faults: truncated section";
   }

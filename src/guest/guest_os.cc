@@ -983,12 +983,7 @@ void GuestOs::SaveState(ckpt::Writer& w) const {
   w.U64(bg_cursor_);
   w.U32(static_cast<uint32_t>(pressure_ticks_under_));
   w.U32(static_cast<uint32_t>(pressure_clear_ticks_));
-  w.U64(overload_stats_.compressions);
-  w.U64(overload_stats_.expansions);
-  w.U64(overload_stats_.sheds);
-  w.U64(overload_stats_.resumes);
-  w.U64(overload_stats_.shed_job_drops);
-  w.U64(overload_stats_.overload_admissions);
+  w.Counters(overload_stats_);
 
   // Tasks are created by the experiment builder in a fixed order; the restore
   // target has the same tasks_ vector, so indices are stable identifiers.
@@ -1055,12 +1050,7 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
   bg_cursor_ = r.U64();
   pressure_ticks_under_ = static_cast<int>(r.U32());
   pressure_clear_ticks_ = static_cast<int>(r.U32());
-  overload_stats_.compressions = r.U64();
-  overload_stats_.expansions = r.U64();
-  overload_stats_.sheds = r.U64();
-  overload_stats_.resumes = r.U64();
-  overload_stats_.shed_job_drops = r.U64();
-  overload_stats_.overload_admissions = r.U64();
+  r.Counters(overload_stats_);
 
   uint32_t n_tasks = r.U32();
   if (!r.ok() || n_tasks != tasks_.size()) {

@@ -1,252 +1,189 @@
 #include "src/metrics/resilience.h"
 
+#include <algorithm>
 #include <ostream>
+#include <string>
+#include <tuple>
 
 #include "src/metrics/report.h"
 
 namespace rtvirt {
 
+namespace {
+
+using Gate = ReportSection::Gate;
+using RC = ResilienceCounters;
+
+// Gated sections stay out of reports from runs whose subsystem never fired
+// or was never armed, so those reports are unchanged by the subsystem.
+constexpr ReportSection kInjected{"injected", Gate::kAlways};
+constexpr ReportSection kGuest{"guest", Gate::kAlways};
+constexpr ReportSection kHost{"host", Gate::kAlways};
+constexpr ReportSection kOverload{"overload", Gate::kAnyNonZero};
+constexpr ReportSection kPcpu{"pcpu", Gate::kAnyNonZero};
+constexpr ReportSection kTrust{"trust", Gate::kAnyNonZero};
+constexpr ReportSection kAudit{"audit", Gate::kAnyNonZero};
+constexpr ReportSection kControl{"control", Gate::kAnyNonZero};
+constexpr ReportSection kCluster{"cluster", Gate::kAnyNonZero};
+// RSS and warm-up counts vary across builds and would break byte-identical
+// report comparisons, so this section is opt-in.
+constexpr ReportSection kAlloc{"alloc", Gate::kAllocOptIn};
+
+constexpr ReportRow kRows[] = {
+    {&kInjected, "hypercall_attempts", &FaultStats::hypercall_attempts},
+    {&kInjected, "transient_failures", &FaultStats::injected_failures},
+    {&kInjected, "dropped_calls", &FaultStats::injected_drops},
+    {&kInjected, "latency_spikes", &FaultStats::injected_spikes},
+    {&kInjected, "outage_failures", &FaultStats::outage_failures},
+    {&kInjected, "vm_crashes", &FaultStats::vm_crashes},
+    {&kInjected, "vm_restarts", &FaultStats::vm_restarts},
+    {&kGuest, "transient_failures_seen", &ChannelStats::transient_failures},
+    {&kGuest, "retries", &ChannelStats::retries},
+    {&kGuest, "retry_successes", &ChannelStats::retry_successes},
+    {&kGuest, "degraded_entries", &ChannelStats::degraded_entries},
+    {&kGuest, "recoveries", &ChannelStats::recoveries},
+    {&kGuest, "repair_attempts", &ChannelStats::repair_attempts},
+    {&kGuest, "backoff_time_us", &ChannelStats::backoff_time, 1000},
+    {&kHost, "watchdog_reclaims", &DpWrapStats::watchdog_reclaims},
+    {&kHost, "stale_deadline_rejections", &DpWrapStats::stale_rejections},
+    {&kOverload, "pressure_raises", &DpWrapStats::pressure_raises},
+    {&kOverload, "pressure_clears", &DpWrapStats::pressure_clears},
+    {&kOverload, "admission_rejections", &DpWrapStats::admission_rejections},
+    {&kOverload, "shed_releases", &DpWrapStats::shed_releases},
+    {&kOverload, "compressions", &GuestOverloadStats::compressions},
+    {&kOverload, "expansions", &GuestOverloadStats::expansions},
+    {&kOverload, "sheds", &GuestOverloadStats::sheds},
+    {&kOverload, "resumes", &GuestOverloadStats::resumes},
+    {&kOverload, "shed_job_drops", &GuestOverloadStats::shed_job_drops},
+    {&kOverload, "overload_admissions", &GuestOverloadStats::overload_admissions},
+    {&kPcpu, "offline_events", &FaultStats::pcpu_offline_events},
+    {&kPcpu, "online_events", &FaultStats::pcpu_online_events},
+    {&kPcpu, "degrade_events", &FaultStats::pcpu_degrade_events},
+    {&kPcpu, "heal_events", &FaultStats::pcpu_heal_events},
+    {&kPcpu, "vcpu_evacuations", &RC::pcpu_evacuations},
+    {&kPcpu, "capacity_replans", &DpWrapStats::capacity_replans},
+    {&kTrust, "adversarial_deadline_lies", &FaultStats::deadline_lies},
+    {&kTrust, "adversarial_storm_calls", &FaultStats::storm_calls},
+    {&kTrust, "adversarial_thrash_calls", &FaultStats::thrash_calls},
+    {&kTrust, "deadline_lie_rejections", &DpWrapStats::deadline_lie_rejections},
+    {&kTrust, "deadline_floor_clamps", &DpWrapStats::deadline_floor_clamps},
+    {&kTrust, "replan_budget_trips", &DpWrapStats::replan_budget_trips},
+    {&kTrust, "hypercall_rate_rejections", &DpWrapStats::hypercall_rate_rejections},
+    {&kTrust, "bw_thrash_trips", &DpWrapStats::bw_thrash_trips},
+    {&kTrust, "quarantines", &DpWrapStats::quarantines},
+    {&kTrust, "quarantine_releases", &DpWrapStats::quarantine_releases},
+    {&kTrust, "quarantine_holds", &DpWrapStats::quarantine_holds},
+    {&kTrust, "isolation_violations", &AuditStats::isolation_violations},
+    {&kAudit, "checks_run", &AuditStats::checks_run},
+    {&kAudit, "violations", &AuditStats::total_violations},
+    {&kControl, "samples", &ControlStats::samples},
+    {&kControl, "decisions", &ControlStats::decisions},
+    {&kControl, "inc_adjustments", &ControlStats::inc_adjustments},
+    {&kControl, "dec_adjustments", &ControlStats::dec_adjustments},
+    {&kControl, "hysteresis_holds", &ControlStats::hysteresis_holds},
+    {&kControl, "demand_floor_holds", &ControlStats::demand_floor_holds},
+    {&kControl, "pressure_holds", &ControlStats::pressure_holds},
+    {&kControl, "ladder_holds", &ControlStats::ladder_holds},
+    {&kControl, "rate_limit_holds", &ControlStats::rate_limit_holds},
+    {&kControl, "windup_clamps", &ControlStats::windup_clamps},
+    {&kControl, "actuation_failures", &ControlStats::actuation_failures},
+    {&kControl, "saturation_events", &ControlStats::saturation_events},
+    {&kControl, "saturations_resolved", &ControlStats::saturations_resolved},
+    {&kControl, "freezes", &ControlStats::freezes},
+    {&kControl, "reengage_probes", &ControlStats::reengage_probes},
+    {&kControl, "reengages", &ControlStats::reengages},
+    {&kControl, "injected_outage_failures", &FaultStats::control_outage_failures},
+    {&kControl, "injected_stale_windows", &FaultStats::control_stale_windows},
+    {&kCluster, "host_crashes", &ClusterStats::host_crashes},
+    {&kCluster, "host_outages", &ClusterStats::host_outages},
+    {&kCluster, "host_degrades", &ClusterStats::host_degrades},
+    {&kCluster, "host_heals", &ClusterStats::host_heals},
+    {&kCluster, "vms_admitted", &ClusterStats::vms_admitted},
+    {&kCluster, "vms_rejected", &ClusterStats::vms_rejected},
+    {&kCluster, "evacuations", &ClusterStats::evacuations},
+    {&kCluster, "migration_attempts", &ClusterStats::migration_attempts},
+    {&kCluster, "migration_retries", &ClusterStats::migration_retries},
+    {&kCluster, "migration_rebalances", &ClusterStats::migration_rebalances},
+    {&kCluster, "rebalance_moves", &ClusterStats::rebalance_moves},
+    {&kCluster, "migration_aborts", &ClusterStats::migration_aborts},
+    {&kCluster, "migration_successes", &ClusterStats::migration_successes},
+    {&kCluster, "degraded_placements", &ClusterStats::degraded_placements},
+    {&kCluster, "evacuations_unresolved", &ClusterStats::evacuations_unresolved},
+    {&kCluster, "vm_unavailable_ms", &ClusterStats::vm_unavailable_ns, 1000000},
+    {&kAlloc, "warmup_allocs", &RC::warmup_allocs},
+    {&kAlloc, "warmup_alloc_kb", &RC::warmup_alloc_bytes, 1024},
+    {&kAlloc, "steady_allocs", &RC::steady_allocs},
+    {&kAlloc, "steady_alloc_kb", &RC::steady_alloc_bytes, 1024},
+    {&kAlloc, "peak_rss_kb", &RC::peak_rss_kb},
+    {&kAlloc, "eq_schedules", &EventQueueStats::schedules},
+    {&kAlloc, "eq_cancels", &EventQueueStats::cancels},
+    {&kAlloc, "eq_pops", &EventQueueStats::pops},
+    {&kAlloc, "eq_node_allocs", &EventQueueStats::node_allocs},
+    {&kAlloc, "eq_calendar_resizes", &EventQueueStats::calendar_resizes},
+};
+
+// Every part of `c` that holds counters, `c` itself included; each part's
+// type appears once, so a field's class names its part.
+template <class Counters>
+auto Parts(Counters& c) {
+  return std::tie(c, c.faults, c.channel, c.host, c.guest, c.audit, c.control, c.cluster,
+                  c.event_queue);
+}
+
+bool SectionPrints(std::span<const ReportRow> rows, const RC& c) {
+  switch (rows.front().section->gate) {
+    case Gate::kAlways:
+      return true;
+    case Gate::kAllocOptIn:
+      return c.alloc_section;
+    case Gate::kAnyNonZero:
+      break;
+  }
+  return std::any_of(rows.begin(), rows.end(),
+                     [&c](const ReportRow& row) { return row.Of(c) != 0; });
+}
+
+}  // namespace
+
+uint64_t& ReportRow::Of(ResilienceCounters& c) const {
+  return std::visit(
+      [&c]<class Part>(uint64_t Part::*f) -> uint64_t& { return std::get<Part&>(Parts(c)).*f; },
+      field);
+}
+
+uint64_t ReportRow::Of(const ResilienceCounters& c) const {
+  return Of(const_cast<ResilienceCounters&>(c));
+}
+
+std::span<const ReportRow> ReportRows() { return kRows; }
+
 void PrintResilience(std::ostream& out, const ResilienceCounters& c) {
   TablePrinter table({"layer", "counter", "value"});
-  auto row = [&](const char* layer, const char* name, uint64_t v) {
-    table.AddRow({layer, name, std::to_string(v)});
-  };
-  row("injected", "hypercall_attempts", c.hypercall_attempts);
-  row("injected", "transient_failures", c.injected_failures);
-  row("injected", "dropped_calls", c.injected_drops);
-  row("injected", "latency_spikes", c.injected_spikes);
-  row("injected", "outage_failures", c.outage_failures);
-  row("injected", "vm_crashes", c.vm_crashes);
-  row("injected", "vm_restarts", c.vm_restarts);
-  row("guest", "transient_failures_seen", c.transient_failures);
-  row("guest", "retries", c.retries);
-  row("guest", "retry_successes", c.retry_successes);
-  row("guest", "degraded_entries", c.degraded_entries);
-  row("guest", "recoveries", c.recoveries);
-  row("guest", "repair_attempts", c.repair_attempts);
-  row("guest", "backoff_time_us", static_cast<uint64_t>(c.backoff_time_ns / 1000));
-  row("host", "watchdog_reclaims", c.watchdog_reclaims);
-  row("host", "stale_deadline_rejections", c.stale_rejections);
-  // Overload-control counters only appear when that machinery fired, so
-  // reports from overload-free runs are unchanged by this feature.
-  uint64_t overload_any = c.pressure_raises + c.pressure_clears + c.admission_rejections +
-                          c.shed_releases + c.compressions + c.expansions + c.sheds +
-                          c.resumes + c.shed_job_drops + c.overload_admissions;
-  if (overload_any > 0) {
-    row("overload", "pressure_raises", c.pressure_raises);
-    row("overload", "pressure_clears", c.pressure_clears);
-    row("overload", "admission_rejections", c.admission_rejections);
-    row("overload", "shed_releases", c.shed_releases);
-    row("overload", "compressions", c.compressions);
-    row("overload", "expansions", c.expansions);
-    row("overload", "sheds", c.sheds);
-    row("overload", "resumes", c.resumes);
-    row("overload", "shed_job_drops", c.shed_job_drops);
-    row("overload", "overload_admissions", c.overload_admissions);
-  }
-  // PCPU fault and audit sections likewise only appear when those subsystems
-  // fired / were armed, keeping prior reports byte-identical.
-  uint64_t pcpu_any = c.pcpu_offline_events + c.pcpu_online_events + c.pcpu_degrade_events +
-                      c.pcpu_heal_events + c.pcpu_evacuations + c.capacity_replans;
-  if (pcpu_any > 0) {
-    row("pcpu", "offline_events", c.pcpu_offline_events);
-    row("pcpu", "online_events", c.pcpu_online_events);
-    row("pcpu", "degrade_events", c.pcpu_degrade_events);
-    row("pcpu", "heal_events", c.pcpu_heal_events);
-    row("pcpu", "vcpu_evacuations", c.pcpu_evacuations);
-    row("pcpu", "capacity_replans", c.capacity_replans);
-  }
-  // Trust-boundary section: appears when adversarial traffic was injected or
-  // any guest_trust defense fired (same byte-identical-when-idle convention).
-  uint64_t trust_any = c.TotalAdversarial() + c.deadline_lie_rejections +
-                       c.deadline_floor_clamps + c.replan_budget_trips +
-                       c.hypercall_rate_rejections + c.bw_thrash_trips + c.quarantines +
-                       c.quarantine_releases + c.quarantine_holds + c.isolation_violations;
-  if (trust_any > 0) {
-    row("trust", "adversarial_deadline_lies", c.adversarial_deadline_lies);
-    row("trust", "adversarial_storm_calls", c.adversarial_storm_calls);
-    row("trust", "adversarial_thrash_calls", c.adversarial_thrash_calls);
-    row("trust", "deadline_lie_rejections", c.deadline_lie_rejections);
-    row("trust", "deadline_floor_clamps", c.deadline_floor_clamps);
-    row("trust", "replan_budget_trips", c.replan_budget_trips);
-    row("trust", "hypercall_rate_rejections", c.hypercall_rate_rejections);
-    row("trust", "bw_thrash_trips", c.bw_thrash_trips);
-    row("trust", "quarantines", c.quarantines);
-    row("trust", "quarantine_releases", c.quarantine_releases);
-    row("trust", "quarantine_holds", c.quarantine_holds);
-    row("trust", "isolation_violations", c.isolation_violations);
-  }
-  if (c.audit_checks > 0) {
-    row("audit", "checks_run", c.audit_checks);
-    row("audit", "violations", c.audit_violations);
-  }
-  // SLO-controller section: appears only when a controller was armed (it
-  // counts samples/decisions as soon as it runs) or controller-adversary
-  // faults were injected, so default-path reports stay byte-identical even
-  // with the subsystem compiled in.
-  uint64_t control_any = c.control_samples + c.control_decisions +
-                         c.control_inc_adjustments + c.control_dec_adjustments +
-                         c.control_hysteresis_holds + c.control_demand_floor_holds +
-                         c.control_pressure_holds +
-                         c.control_ladder_holds + c.control_rate_limit_holds +
-                         c.control_windup_clamps + c.control_actuation_failures +
-                         c.control_saturation_events + c.control_freezes +
-                         c.control_reengage_probes + c.control_outage_failures +
-                         c.control_stale_windows;
-  if (control_any > 0) {
-    row("control", "samples", c.control_samples);
-    row("control", "decisions", c.control_decisions);
-    row("control", "inc_adjustments", c.control_inc_adjustments);
-    row("control", "dec_adjustments", c.control_dec_adjustments);
-    row("control", "hysteresis_holds", c.control_hysteresis_holds);
-    row("control", "demand_floor_holds", c.control_demand_floor_holds);
-    row("control", "pressure_holds", c.control_pressure_holds);
-    row("control", "ladder_holds", c.control_ladder_holds);
-    row("control", "rate_limit_holds", c.control_rate_limit_holds);
-    row("control", "windup_clamps", c.control_windup_clamps);
-    row("control", "actuation_failures", c.control_actuation_failures);
-    row("control", "saturation_events", c.control_saturation_events);
-    row("control", "saturations_resolved", c.control_saturations_resolved);
-    row("control", "freezes", c.control_freezes);
-    row("control", "reengage_probes", c.control_reengage_probes);
-    row("control", "reengages", c.control_reengages);
-    row("control", "injected_outage_failures", c.control_outage_failures);
-    row("control", "injected_stale_windows", c.control_stale_windows);
-  }
-  // Cluster federation section: only multi-host runs with host faults or
-  // admissions fire these, so single-host reports stay byte-identical.
-  uint64_t cluster_any = c.TotalHostFaultEvents() + c.cluster_vms_admitted +
-                         c.cluster_vms_rejected + c.evacuations + c.migration_attempts +
-                         c.migration_aborts + c.evacuations_unresolved;
-  if (cluster_any > 0) {
-    row("cluster", "host_crashes", c.host_crashes);
-    row("cluster", "host_outages", c.host_outages);
-    row("cluster", "host_degrades", c.host_degrades);
-    row("cluster", "host_heals", c.host_heals);
-    row("cluster", "vms_admitted", c.cluster_vms_admitted);
-    row("cluster", "vms_rejected", c.cluster_vms_rejected);
-    row("cluster", "evacuations", c.evacuations);
-    row("cluster", "migration_attempts", c.migration_attempts);
-    row("cluster", "migration_retries", c.migration_retries);
-    row("cluster", "migration_rebalances", c.migration_rebalances);
-    row("cluster", "rebalance_moves", c.rebalance_moves);
-    row("cluster", "migration_aborts", c.migration_aborts);
-    row("cluster", "migration_successes", c.migration_successes);
-    row("cluster", "degraded_placements", c.degraded_placements);
-    row("cluster", "evacuations_unresolved", c.evacuations_unresolved);
-    row("cluster", "vm_unavailable_ms", static_cast<uint64_t>(c.vm_unavailable_ns / 1000000));
-  }
-  // Allocation profile: opt-in (ExperimentConfig::report_alloc /
-  // RTVIRT_REPORT_ALLOC) because RSS and warm-up counts vary across builds
-  // and would break byte-identical report comparisons.
-  if (c.alloc_section) {
-    row("alloc", "warmup_allocs", c.warmup_allocs);
-    row("alloc", "warmup_alloc_kb", c.warmup_alloc_bytes / 1024);
-    row("alloc", "steady_allocs", c.steady_allocs);
-    row("alloc", "steady_alloc_kb", c.steady_alloc_bytes / 1024);
-    row("alloc", "peak_rss_kb", c.peak_rss_kb);
-    row("alloc", "eq_schedules", c.event_queue.schedules);
-    row("alloc", "eq_cancels", c.event_queue.cancels);
-    row("alloc", "eq_pops", c.event_queue.pops);
-    row("alloc", "eq_node_allocs", c.event_queue.node_allocs);
-    row("alloc", "eq_calendar_resizes", c.event_queue.calendar_resizes);
+  const std::span<const ReportRow> rows = ReportRows();
+  for (auto begin = rows.begin(); begin != rows.end();) {
+    auto end = std::find_if(begin, rows.end(), [begin](const ReportRow& row) {
+      return row.section != begin->section;
+    });
+    std::span<const ReportRow> section(begin, end);
+    if (SectionPrints(section, c)) {
+      for (const ReportRow& row : section) {
+        table.AddRow({row.section->name, row.name, std::to_string(row.Of(c) / row.divisor)});
+      }
+    }
+    begin = end;
   }
   table.Print(out);
 }
 
 void AccumulateResilience(ResilienceCounters& into, const ResilienceCounters& from) {
-  into.hypercall_attempts += from.hypercall_attempts;
-  into.injected_failures += from.injected_failures;
-  into.injected_drops += from.injected_drops;
-  into.injected_spikes += from.injected_spikes;
-  into.outage_failures += from.outage_failures;
-  into.vm_crashes += from.vm_crashes;
-  into.vm_restarts += from.vm_restarts;
-  into.transient_failures += from.transient_failures;
-  into.retries += from.retries;
-  into.retry_successes += from.retry_successes;
-  into.degraded_entries += from.degraded_entries;
-  into.recoveries += from.recoveries;
-  into.repair_attempts += from.repair_attempts;
-  into.backoff_time_ns += from.backoff_time_ns;
-  into.watchdog_reclaims += from.watchdog_reclaims;
-  into.stale_rejections += from.stale_rejections;
-  into.pressure_raises += from.pressure_raises;
-  into.pressure_clears += from.pressure_clears;
-  into.admission_rejections += from.admission_rejections;
-  into.shed_releases += from.shed_releases;
-  into.compressions += from.compressions;
-  into.expansions += from.expansions;
-  into.sheds += from.sheds;
-  into.resumes += from.resumes;
-  into.shed_job_drops += from.shed_job_drops;
-  into.overload_admissions += from.overload_admissions;
-  into.pcpu_offline_events += from.pcpu_offline_events;
-  into.pcpu_online_events += from.pcpu_online_events;
-  into.pcpu_degrade_events += from.pcpu_degrade_events;
-  into.pcpu_heal_events += from.pcpu_heal_events;
-  into.pcpu_evacuations += from.pcpu_evacuations;
-  into.capacity_replans += from.capacity_replans;
-  into.adversarial_deadline_lies += from.adversarial_deadline_lies;
-  into.adversarial_storm_calls += from.adversarial_storm_calls;
-  into.adversarial_thrash_calls += from.adversarial_thrash_calls;
-  into.deadline_lie_rejections += from.deadline_lie_rejections;
-  into.deadline_floor_clamps += from.deadline_floor_clamps;
-  into.replan_budget_trips += from.replan_budget_trips;
-  into.hypercall_rate_rejections += from.hypercall_rate_rejections;
-  into.bw_thrash_trips += from.bw_thrash_trips;
-  into.quarantines += from.quarantines;
-  into.quarantine_releases += from.quarantine_releases;
-  into.quarantine_holds += from.quarantine_holds;
-  into.isolation_violations += from.isolation_violations;
-  into.audit_checks += from.audit_checks;
-  into.audit_violations += from.audit_violations;
-  into.control_samples += from.control_samples;
-  into.control_decisions += from.control_decisions;
-  into.control_inc_adjustments += from.control_inc_adjustments;
-  into.control_dec_adjustments += from.control_dec_adjustments;
-  into.control_hysteresis_holds += from.control_hysteresis_holds;
-  into.control_demand_floor_holds += from.control_demand_floor_holds;
-  into.control_pressure_holds += from.control_pressure_holds;
-  into.control_ladder_holds += from.control_ladder_holds;
-  into.control_rate_limit_holds += from.control_rate_limit_holds;
-  into.control_windup_clamps += from.control_windup_clamps;
-  into.control_actuation_failures += from.control_actuation_failures;
-  into.control_saturation_events += from.control_saturation_events;
-  into.control_saturations_resolved += from.control_saturations_resolved;
-  into.control_freezes += from.control_freezes;
-  into.control_reengage_probes += from.control_reengage_probes;
-  into.control_reengages += from.control_reengages;
-  into.control_outage_failures += from.control_outage_failures;
-  into.control_stale_windows += from.control_stale_windows;
-  into.host_crashes += from.host_crashes;
-  into.host_outages += from.host_outages;
-  into.host_degrades += from.host_degrades;
-  into.host_heals += from.host_heals;
-  into.cluster_vms_admitted += from.cluster_vms_admitted;
-  into.cluster_vms_rejected += from.cluster_vms_rejected;
-  into.evacuations += from.evacuations;
-  into.migration_attempts += from.migration_attempts;
-  into.migration_retries += from.migration_retries;
-  into.migration_rebalances += from.migration_rebalances;
-  into.rebalance_moves += from.rebalance_moves;
-  into.migration_aborts += from.migration_aborts;
-  into.migration_successes += from.migration_successes;
-  into.degraded_placements += from.degraded_placements;
-  into.evacuations_unresolved += from.evacuations_unresolved;
-  into.vm_unavailable_ns += from.vm_unavailable_ns;
+  // Each part of `from` adds into the same part of `into`.
+  std::apply(
+      [&from](auto&... to) {
+        std::apply([&to...](const auto&... add) { (AddCounters(to, add), ...); }, Parts(from));
+      },
+      Parts(into));
+  into.peak_rss_kb = std::max(into.peak_rss_kb, from.peak_rss_kb);
   into.alloc_section = into.alloc_section || from.alloc_section;
-  into.warmup_allocs += from.warmup_allocs;
-  into.warmup_alloc_bytes += from.warmup_alloc_bytes;
-  into.steady_allocs += from.steady_allocs;
-  into.steady_alloc_bytes += from.steady_alloc_bytes;
-  into.peak_rss_kb = into.peak_rss_kb > from.peak_rss_kb ? into.peak_rss_kb : from.peak_rss_kb;
-  into.event_queue.schedules += from.event_queue.schedules;
-  into.event_queue.cancels += from.event_queue.cancels;
-  into.event_queue.pops += from.event_queue.pops;
-  into.event_queue.node_allocs += from.event_queue.node_allocs;
-  into.event_queue.calendar_resizes += from.event_queue.calendar_resizes;
-  into.event_queue.free_nodes += from.event_queue.free_nodes;
 }
 
 }  // namespace rtvirt

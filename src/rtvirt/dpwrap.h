@@ -22,6 +22,7 @@
 #include "src/common/bandwidth.h"
 #include "src/common/time.h"
 #include "src/hv/host_scheduler.h"
+#include "src/metrics/resilience.h"
 #include "src/sim/simulator.h"
 
 namespace rtvirt {
@@ -195,35 +196,17 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   Bandwidth total_reserved() const { return total_; }
   Bandwidth capacity() const { return capacity_; }
   Bandwidth ReservedBw(const Vcpu* vcpu) const;
-  uint64_t replans() const { return replans_; }
+  uint64_t replans() const { return stats_.replans; }
   TimeNs slice_start() const { return slice_start_; }
   TimeNs slice_end() const { return slice_end_; }
   // Taxed (effective) total and per-VCPU tax factor; equals the raw values
   // when the idle tax is disabled.
   Bandwidth total_effective() const;
   double TaxFactor(const Vcpu* vcpu) const;
-  // Fault-model introspection: reservations reclaimed from crashed VMs and
-  // stale publications overridden by the freshness horizon.
-  uint64_t watchdog_reclaims() const { return watchdog_reclaims_; }
-  uint64_t stale_rejections() const { return stale_rejections_; }
-  // Re-plans triggered by PCPU capacity events (pcpu_recovery only).
-  uint64_t capacity_replans() const { return capacity_replans_; }
-  // Byzantine-guest containment introspection (guest_trust only).
-  uint64_t deadline_lie_rejections() const { return deadline_lie_rejections_; }
-  uint64_t deadline_floor_clamps() const { return deadline_floor_clamps_; }
-  uint64_t replan_budget_trips() const { return replan_budget_trips_; }
-  uint64_t hypercall_rate_rejections() const { return hypercall_rate_rejections_; }
-  uint64_t bw_thrash_trips() const { return bw_thrash_trips_; }
-  uint64_t quarantines() const { return quarantines_; }
-  uint64_t quarantine_releases() const { return quarantine_releases_; }
-  uint64_t quarantine_holds() const { return quarantine_holds_; }
+  // Plan, watchdog, overload-pressure and guest_trust counters.
+  const DpWrapStats& stats() const { return stats_; }
   bool Quarantined(const Vm* vm) const;
-  // Overload-pressure introspection.
   bool pressure() const { return pressure_; }
-  uint64_t pressure_raises() const { return pressure_raises_; }
-  uint64_t pressure_clears() const { return pressure_clears_; }
-  uint64_t shed_releases() const { return shed_releases_; }
-  uint64_t admission_rejections() const { return admission_rejections_; }
 
   // Auditor access: visits every reservation's owner, raw bandwidth, and
   // period (iteration order is unspecified).
@@ -367,20 +350,13 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
   size_t be_cursor_ = 0;
   int tickle_cursor_ = 0;
-  uint64_t replans_ = 0;
-  uint64_t watchdog_reclaims_ = 0;
-  uint64_t stale_rejections_ = 0;
-  uint64_t capacity_replans_ = 0;
+  DpWrapStats stats_;
 
   // Overload-pressure state.
   Simulator::EventId overload_event_;
   bool pressure_ = false;
   int64_t pressure_reason_ = 0;          // kPressure* while pressure_ is set.
   uint64_t rejections_since_tick_ = 0;   // Admission rejections since last scan.
-  uint64_t pressure_raises_ = 0;
-  uint64_t pressure_clears_ = 0;
-  uint64_t shed_releases_ = 0;           // DEC_BW with kBwReasonOverloadShed.
-  uint64_t admission_rejections_ = 0;    // Lifetime kHypercallNoBandwidth count.
   // Demand of recently rejected new registrations, withheld from the
   // published headroom until `expires` (FIFO — holds expire in push order).
   struct HeldDemand {
@@ -393,14 +369,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // machine's VM index order (TrustTick); map lookups are by pointer.
   std::unordered_map<const Vm*, VmTrust> trust_;
   Simulator::EventId trust_event_;
-  uint64_t deadline_lie_rejections_ = 0;   // Past-at-publish publications scored.
-  uint64_t deadline_floor_clamps_ = 0;     // Below-floor horizons clamped (not scored).
-  uint64_t replan_budget_trips_ = 0;       // Floor-binding budget exhaustions.
-  uint64_t hypercall_rate_rejections_ = 0; // Token-bucket kHypercallAgain returns.
-  uint64_t bw_thrash_trips_ = 0;           // INC/DEC oscillation violations.
-  uint64_t quarantines_ = 0;
-  uint64_t quarantine_releases_ = 0;
-  uint64_t quarantine_holds_ = 0;          // Bandwidth raises held while quarantined.
 };
 
 }  // namespace rtvirt

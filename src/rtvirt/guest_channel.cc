@@ -274,13 +274,7 @@ void RtvirtGuestChannel::Reset() {
 
 void RtvirtGuestChannel::SaveState(ckpt::Writer& w) const {
   w.U64(generation_);
-  w.U64(stats_.transient_failures);
-  w.U64(stats_.retries);
-  w.U64(stats_.retry_successes);
-  w.U64(stats_.degraded_entries);
-  w.U64(stats_.recoveries);
-  w.U64(stats_.repair_attempts);
-  w.I64(stats_.backoff_time);
+  w.Counters(stats_);
   std::vector<std::pair<const Vcpu*, const VcpuState*>> sorted;
   sorted.reserve(state_.size());
   for (const auto& [v, st] : state_) {
@@ -307,13 +301,7 @@ void RtvirtGuestChannel::SaveState(ckpt::Writer& w) const {
 
 std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
   generation_ = r.U64();
-  stats_.transient_failures = r.U64();
-  stats_.retries = r.U64();
-  stats_.retry_successes = r.U64();
-  stats_.degraded_entries = r.U64();
-  stats_.recoveries = r.U64();
-  stats_.repair_attempts = r.U64();
-  stats_.backoff_time = r.I64();
+  r.Counters(stats_);
   state_.clear();
   uint32_t n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {

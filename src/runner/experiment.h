@@ -115,8 +115,9 @@ class Experiment {
   SloController* controller() const { return controller_.get(); }
   // The cross-layer channel of `guest` (null unless framework is RTVirt).
   RtvirtGuestChannel* ChannelOf(const GuestOs* guest) const;
-  // Aggregates injector, per-guest channel, host watchdog/capacity, and
-  // auditor counters.
+  // Every component's counters: the injector, DP-WRAP, the auditor and the
+  // controller as they are, the channels and guests summed, plus the
+  // machine's evacuations and the allocation profile.
   ResilienceCounters resilience() const;
 
   // ---- Checkpoint / restore (src/checkpoint, DESIGN.md §10) ----

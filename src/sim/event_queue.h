@@ -17,6 +17,7 @@
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -55,7 +56,13 @@ struct EventQueueStats {
   // Arena chunk growths; zero growth after warm-up.
   uint64_t node_allocs = 0;
   uint64_t calendar_resizes = 0;
-  size_t free_nodes = 0;
+  uint64_t free_nodes = 0;
+
+  static constexpr std::array kFields = {
+      &EventQueueStats::schedules, &EventQueueStats::cancels, &EventQueueStats::pops,
+      &EventQueueStats::node_allocs, &EventQueueStats::calendar_resizes,
+      &EventQueueStats::free_nodes
+  };
 };
 
 class EventQueue {

@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/cluster/federation.h"
 #include "src/common/rng.h"
+#include "src/metrics/resilience.h"
 #include "src/runner/ckpt_scenario.h"
 #include "src/sweep/sweep.h"
 #include "src/workloads/periodic.h"
@@ -225,11 +227,33 @@ TEST(CheckpointRejectionTest, UnregisteredOwnerLiveEventIsRejectedAtSave) {
 // Byte-identical continuation: run->save->continue vs restore->continue must
 // serialize to the same bytes at the horizon.
 
+// Image equality misses a counter that save and restore both leave out, so
+// compare the counters themselves: every report row outside the opt-in alloc
+// section (allocations and RSS are per-process) must match, and the run must
+// have exercised at least one injected-fault row and one guest-channel row.
+void ExpectSameReportRows(const ResilienceCounters& live, const ResilienceCounters& restored) {
+  bool injected = false;
+  bool guest = false;
+  for (const ReportRow& row : ReportRows()) {
+    if (row.section->gate == ReportSection::Gate::kAllocOptIn) {
+      continue;
+    }
+    EXPECT_EQ(row.Of(live), row.Of(restored)) << row.section->name << " " << row.name;
+    const std::string_view section = row.section->name;
+    injected = injected || (section == "injected" && row.Of(live) != 0);
+    guest = guest || (section == "guest" && row.Of(live) != 0);
+  }
+  EXPECT_TRUE(injected) << "no injected-fault row is non-zero";
+  EXPECT_TRUE(guest) << "no guest-channel row is non-zero";
+}
+
 TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
   CkptScenarioOptions opt;
+  opt.seed = 1;  // Fails one registration hypercall, so guest counters move.
   opt.horizon = Ms(600);
 
   auto a = BuildCkptScenario(opt);
+  a->exp->Run(0);  // Arms the injector, so the registrations cross it.
   a->Start();
   a->exp->Run(Ms(300));
   ckpt::Image mid;
@@ -246,6 +270,7 @@ TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
   ASSERT_EQ(b->exp->SaveCheckpoint(&end_b), "");
 
   EXPECT_EQ(end_a.Serialize(), end_b.Serialize());
+  ExpectSameReportRows(a->exp->resilience(), b->exp->resilience());
   EXPECT_EQ(a->monitor.total_completed(), b->monitor.total_completed());
   EXPECT_EQ(a->monitor.total_misses(), b->monitor.total_misses());
   EXPECT_GT(a->monitor.total_completed(), 0u);
@@ -359,6 +384,9 @@ std::unique_ptr<FedFixture> BuildFed() {
   config.pcpus_per_host = 2;
   config.policy = PlacementPolicy::kFirstFit;
   ExperimentConfig tmpl;
+  // The RTAs first register at 1 ms, inside a start-up hypercall outage, and
+  // retry past it, so the injector and guest-channel counters move.
+  tmpl.faults.hypercall_outages.push_back({0, Ms(2)});
   f->fed = std::make_unique<Federation>(config, tmpl);
   auto* rtas = &f->rtas;
   f->fed->SetLauncher([rtas](Experiment& exp, GuestOs* guest, const ClusterVmSpec& spec,
@@ -367,7 +395,8 @@ std::unique_ptr<FedFixture> BuildFed() {
     params.slice = Ms(2);
     params.period = Ms(10);
     auto rta = std::make_unique<PeriodicRta>(guest, spec.name + ".rta", params);
-    rta->Start(0, Sec(1));
+    rta->set_admission_retry(Ms(5));
+    rta->Start(Ms(1), Sec(1));
     exp.RegisterCheckpointable(rta->ckpt_section(), rta.get());
     rtas->push_back(std::move(rta));
   });
@@ -399,6 +428,7 @@ TEST(CheckpointFederationTest, BarrierSnapshotRestoresAndContinuesByteIdentical)
   ASSERT_EQ(restored->fed->SaveCheckpoint(&end_restored), "");
 
   EXPECT_EQ(end_live.Serialize(), end_restored.Serialize());
+  ExpectSameReportRows(live->fed->resilience(), restored->fed->resilience());
 }
 
 TEST(CheckpointFederationTest, RestoreRejectsMismatchedCluster) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -300,10 +301,10 @@ TEST(SloController, WellBehavedControllerIsNeverQuarantined) {
   // The controller acted...
   EXPECT_GT(rig.exp->controller()->stats().inc_adjustments, 0u);
   // ...and the guest_trust layer (enabled by default) saw nothing wrong.
-  EXPECT_EQ(rig.exp->dpwrap()->quarantines(), 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->replan_budget_trips(), 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->hypercall_rate_rejections(), 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->bw_thrash_trips(), 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().quarantines, 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().replan_budget_trips, 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().hypercall_rate_rejections, 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().bw_thrash_trips, 0u);
 }
 
 TEST(SloController, FreezesOnChannelOutageAndReengages) {
@@ -439,27 +440,81 @@ TEST(ControlReport, DefaultPathPrintsNoControlSection) {
   EXPECT_EQ(os.str().find("control"), std::string::npos);
 }
 
+// The (layer, counter, value) rows of the resilience report for `c`.
+std::vector<std::vector<std::string>> PrintedRows(const ResilienceCounters& c) {
+  std::ostringstream os;
+  PrintResilience(os, c);
+  std::istringstream lines(os.str());
+  std::string line;
+  std::getline(lines, line);  // Header.
+  std::getline(lines, line);  // Rule.
+  std::vector<std::vector<std::string>> rows;
+  while (std::getline(lines, line)) {
+    std::istringstream cells(line);
+    std::vector<std::string> row(3);
+    cells >> row[0] >> row[1] >> row[2];
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 TEST(ControlReport, ZeroCountersPrintNothingNonzeroPrintSection) {
   ResilienceCounters c;
   std::ostringstream quiet;
   PrintResilience(quiet, c);
   EXPECT_EQ(quiet.str().find("control"), std::string::npos);
 
-  c.control_samples = 1;
+  c.control.samples = 1;
   std::ostringstream loud;
   PrintResilience(loud, c);
   EXPECT_NE(loud.str().find("control"), std::string::npos);
   EXPECT_NE(loud.str().find("samples"), std::string::npos);
+
+  // All zero: exactly the always-printed rows appear, so no gated section.
+  std::vector<std::vector<std::string>> always;
+  for (const ReportRow& row : ReportRows()) {
+    if (row.section->gate == ReportSection::Gate::kAlways) {
+      always.push_back({row.section->name, row.name, "0"});
+    }
+  }
+  EXPECT_EQ(PrintedRows(ResilienceCounters()), always);
+
+  // Each counter alone at one display unit prints its row under its section.
+  for (const ReportRow& row : ReportRows()) {
+    ResilienceCounters one;
+    one.alloc_section = row.section->gate == ReportSection::Gate::kAllocOptIn;
+    row.Of(one) = row.divisor;
+    std::vector<std::vector<std::string>> printed = PrintedRows(one);
+    std::vector<std::string> want = {row.section->name, row.name, "1"};
+    EXPECT_NE(std::find(printed.begin(), printed.end(), want), printed.end())
+        << row.section->name << " " << row.name;
+  }
 }
 
 TEST(ControlReport, AccumulateSumsControlCounters) {
   ResilienceCounters a, b;
-  a.control_inc_adjustments = 3;
-  b.control_inc_adjustments = 4;
-  b.control_freezes = 2;
+  a.control.inc_adjustments = 3;
+  b.control.inc_adjustments = 4;
+  b.control.freezes = 2;
   AccumulateResilience(a, b);
-  EXPECT_EQ(a.control_inc_adjustments, 7u);
-  EXPECT_EQ(a.control_freezes, 2u);
+  EXPECT_EQ(a.control.inc_adjustments, 7u);
+  EXPECT_EQ(a.control.freezes, 2u);
+
+  // Every report row sums, except peak_rss_kb, which takes the max.
+  ResilienceCounters x, y;
+  uint64_t i = 0;
+  for (const ReportRow& row : ReportRows()) {
+    ++i;
+    row.Of(x) = i;
+    row.Of(y) = 100 * i;
+  }
+  AccumulateResilience(x, y);
+  i = 0;
+  for (const ReportRow& row : ReportRows()) {
+    ++i;
+    uint64_t want = std::string(row.name) == "peak_rss_kb" ? 100 * i : 101 * i;
+    EXPECT_EQ(row.Of(x), want) << row.section->name << " " << row.name;
+  }
 }
 
 // ---- FaultPlan::ControlFault validation & injection ----
@@ -513,7 +568,7 @@ TEST(ControlFaults, PerVmOutageOnlyHitsTargetVm) {
   EXPECT_FALSE(rig.exp->controller()->Frozen(rig.server->task()));
   // Resilience plumbing carried the counters through.
   ResilienceCounters rc = rig.exp->resilience();
-  EXPECT_EQ(rc.control_outage_failures, fs.control_outage_failures);
+  EXPECT_EQ(rc.faults.control_outage_failures, fs.control_outage_failures);
 }
 
 TEST(ControlFaults, StalePageWindowArmsAndRestores) {
@@ -527,7 +582,7 @@ TEST(ControlFaults, StalePageWindowArmsAndRestores) {
   // The run survives the stale window: controller still converges, no
   // quarantine, no freeze cascade.
   EXPECT_GT(rig.exp->controller()->stats().inc_adjustments, 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->quarantines(), 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().quarantines, 0u);
 }
 
 }  // namespace

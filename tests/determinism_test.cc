@@ -105,20 +105,20 @@ TEST(Determinism, SameSeedAndFaultPlanReproduceByteIdenticalReports) {
   EXPECT_EQ(a.events, b.events);
 
   // The fault path itself fired (the test is vacuous otherwise)...
-  EXPECT_EQ(a.rc.pcpu_offline_events, 1u);
-  EXPECT_EQ(a.rc.pcpu_degrade_events, 1u);
-  EXPECT_GT(a.rc.capacity_replans, 0u);
-  EXPECT_GT(a.rc.audit_checks, 0u);
-  EXPECT_EQ(a.rc.audit_violations, 0u);
+  EXPECT_EQ(a.rc.faults.pcpu_offline_events, 1u);
+  EXPECT_EQ(a.rc.faults.pcpu_degrade_events, 1u);
+  EXPECT_GT(a.rc.host.capacity_replans, 0u);
+  EXPECT_GT(a.rc.audit.checks_run, 0u);
+  EXPECT_EQ(a.rc.audit.total_violations, 0u);
 
   // ...and every counter in the recovery pipeline matches exactly.
   EXPECT_EQ(a.rc.pcpu_evacuations, b.rc.pcpu_evacuations);
-  EXPECT_EQ(a.rc.capacity_replans, b.rc.capacity_replans);
-  EXPECT_EQ(a.rc.sheds, b.rc.sheds);
-  EXPECT_EQ(a.rc.resumes, b.rc.resumes);
-  EXPECT_EQ(a.rc.compressions, b.rc.compressions);
-  EXPECT_EQ(a.rc.expansions, b.rc.expansions);
-  EXPECT_EQ(a.rc.audit_checks, b.rc.audit_checks);
+  EXPECT_EQ(a.rc.host.capacity_replans, b.rc.host.capacity_replans);
+  EXPECT_EQ(a.rc.guest.sheds, b.rc.guest.sheds);
+  EXPECT_EQ(a.rc.guest.resumes, b.rc.guest.resumes);
+  EXPECT_EQ(a.rc.guest.compressions, b.rc.guest.compressions);
+  EXPECT_EQ(a.rc.guest.expansions, b.rc.guest.expansions);
+  EXPECT_EQ(a.rc.audit.checks_run, b.rc.audit.checks_run);
 }
 
 // Trust-boundary PR: the adversarial-guest events draw no RNG and the trust
@@ -180,20 +180,20 @@ TEST(Determinism, SameSeedAndAdversarialPlanReproduceByteIdenticalReports) {
   EXPECT_EQ(a.events, b.events);
 
   // The attack and every defense actually fired (vacuity guard)...
-  EXPECT_GT(a.rc.adversarial_deadline_lies, 0u);
-  EXPECT_GT(a.rc.adversarial_storm_calls, 0u);
-  EXPECT_GT(a.rc.adversarial_thrash_calls, 0u);
-  EXPECT_GT(a.rc.deadline_lie_rejections, 0u);
-  EXPECT_GT(a.rc.hypercall_rate_rejections, 0u);
-  EXPECT_GE(a.rc.quarantines, 1u);
+  EXPECT_GT(a.rc.faults.deadline_lies, 0u);
+  EXPECT_GT(a.rc.faults.storm_calls, 0u);
+  EXPECT_GT(a.rc.faults.thrash_calls, 0u);
+  EXPECT_GT(a.rc.host.deadline_lie_rejections, 0u);
+  EXPECT_GT(a.rc.host.hypercall_rate_rejections, 0u);
+  EXPECT_GE(a.rc.host.quarantines, 1u);
 
   // ...and the trust pipeline's counters match exactly across runs.
-  EXPECT_EQ(a.rc.deadline_lie_rejections, b.rc.deadline_lie_rejections);
-  EXPECT_EQ(a.rc.hypercall_rate_rejections, b.rc.hypercall_rate_rejections);
-  EXPECT_EQ(a.rc.bw_thrash_trips, b.rc.bw_thrash_trips);
-  EXPECT_EQ(a.rc.quarantines, b.rc.quarantines);
-  EXPECT_EQ(a.rc.quarantine_releases, b.rc.quarantine_releases);
-  EXPECT_EQ(a.rc.quarantine_holds, b.rc.quarantine_holds);
+  EXPECT_EQ(a.rc.host.deadline_lie_rejections, b.rc.host.deadline_lie_rejections);
+  EXPECT_EQ(a.rc.host.hypercall_rate_rejections, b.rc.host.hypercall_rate_rejections);
+  EXPECT_EQ(a.rc.host.bw_thrash_trips, b.rc.host.bw_thrash_trips);
+  EXPECT_EQ(a.rc.host.quarantines, b.rc.host.quarantines);
+  EXPECT_EQ(a.rc.host.quarantine_releases, b.rc.host.quarantine_releases);
+  EXPECT_EQ(a.rc.host.quarantine_holds, b.rc.host.quarantine_holds);
 }
 
 TEST(Determinism, DifferentWorkloadSeedStillRunsCleanUnderFaults) {
@@ -212,8 +212,8 @@ TEST(Determinism, DifferentWorkloadSeedStillRunsCleanUnderFaults) {
   ChurnDriver churn(g, ccfg, Rng(31337), &mon);
   churn.Start();
   exp.Run(kRun);
-  EXPECT_GT(exp.auditor()->checks_run(), 0u);
-  EXPECT_EQ(exp.auditor()->total_violations(), 0u);
+  EXPECT_GT(exp.auditor()->stats().checks_run, 0u);
+  EXPECT_EQ(exp.auditor()->stats().total_violations, 0u);
 }
 
 // Differential check of the event queue against an ordering oracle: 100k

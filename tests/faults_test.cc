@@ -90,12 +90,12 @@ TraceSummary RunFaultedScenario(uint64_t fault_seed) {
   s.completed = mon.total_completed();
   s.misses = mon.total_misses();
   s.injected = rc.TotalInjected();
-  s.spikes = rc.injected_spikes;
-  s.retries = rc.retries;
-  s.degraded = rc.degraded_entries;
-  s.recoveries = rc.recoveries;
-  s.crashes = rc.vm_crashes;
-  s.reclaims = rc.watchdog_reclaims;
+  s.spikes = rc.faults.injected_spikes;
+  s.retries = rc.channel.retries;
+  s.degraded = rc.channel.degraded_entries;
+  s.recoveries = rc.channel.recoveries;
+  s.crashes = rc.faults.vm_crashes;
+  s.reclaims = rc.host.watchdog_reclaims;
   return s;
 }
 
@@ -281,7 +281,7 @@ TEST(VmCrash, GuestResetDropsTasksAndJobReleasesAreLost) {
   EXPECT_GT(mon.total_completed(), 0u);
   EXPECT_LE(mon.total_completed(), 4u);
   EXPECT_FALSE(rta.task()->registered());
-  EXPECT_EQ(exp.resilience().vm_crashes, 1u);
+  EXPECT_EQ(exp.resilience().faults.vm_crashes, 1u);
 }
 
 // ---- Host watchdog ----
@@ -307,7 +307,7 @@ TEST(Watchdog, ReclaimsOrphanedReservationsOfCrashedVm) {
   EXPECT_EQ(exp.dpwrap()->ReservedBw(doomed->vm()->vcpu(0)), Bandwidth::Zero());
   EXPECT_EQ(exp.dpwrap()->ReservedBw(healthy->vm()->vcpu(0)), healthy_bw);
   EXPECT_EQ(exp.dpwrap()->total_reserved(), healthy_bw);
-  EXPECT_GE(exp.dpwrap()->watchdog_reclaims(), 1u);
+  EXPECT_GE(exp.dpwrap()->stats().watchdog_reclaims, 1u);
 }
 
 TEST(Watchdog, FreshnessHorizonDistrustsStaleDeadlines) {
@@ -326,7 +326,7 @@ TEST(Watchdog, FreshnessHorizonDistrustsStaleDeadlines) {
   // fall back to the sporadic worst case instead of trusting it.
   g->vm()->shared_page().PublishNextDeadline(0, Ms(500));
   exp.Run(Ms(150));
-  EXPECT_GE(exp.dpwrap()->stale_rejections(), 1u);
+  EXPECT_GE(exp.dpwrap()->stats().stale_rejections, 1u);
 }
 
 // ---- Shared-page staleness via the injector ----

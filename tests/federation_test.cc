@@ -80,13 +80,13 @@ TEST(FederationTest, HostFaultStateMachineDrivesMachineCapacity) {
   EXPECT_EQ(fed.host(1).machine().EffectiveCapacity(), Bandwidth());
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.host_crashes, 1u);
-  EXPECT_EQ(rc.host_outages, 1u);
-  EXPECT_EQ(rc.host_degrades, 1u);
-  EXPECT_EQ(rc.host_heals, 2u);
+  EXPECT_EQ(rc.cluster.host_crashes, 1u);
+  EXPECT_EQ(rc.cluster.host_outages, 1u);
+  EXPECT_EQ(rc.cluster.host_degrades, 1u);
+  EXPECT_EQ(rc.cluster.host_heals, 2u);
   // No fault tolerance: nobody evacuated anything.
-  EXPECT_EQ(rc.evacuations, 0u);
-  EXPECT_EQ(rc.migration_attempts, 0u);
+  EXPECT_EQ(rc.cluster.evacuations, 0u);
+  EXPECT_EQ(rc.cluster.migration_attempts, 0u);
 }
 
 TEST(FederationTest, CrashEvacuatesAndRePlacesOnSurvivor) {
@@ -134,11 +134,11 @@ TEST(FederationTest, CrashEvacuatesAndRePlacesOnSurvivor) {
   EXPECT_EQ(teardowns[1], (std::pair<std::string, int>{"b", 0}));
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.evacuations, 2u);
-  EXPECT_EQ(rc.migration_successes, 2u);
-  EXPECT_EQ(rc.evacuations_unresolved, 0u);
+  EXPECT_EQ(rc.cluster.evacuations, 2u);
+  EXPECT_EQ(rc.cluster.migration_successes, 2u);
+  EXPECT_EQ(rc.cluster.evacuations_unresolved, 0u);
   // Each cold restore is charged at least the model's full copy time.
-  EXPECT_GE(rc.vm_unavailable_ns, 2 * TinyImage().Predict().total_time);
+  EXPECT_GE(rc.cluster.vm_unavailable_ns, 2 * TinyImage().Predict().total_time);
 }
 
 TEST(FederationTest, EvacueeRetriesWithBackoffUntilRoomReturns) {
@@ -160,7 +160,7 @@ TEST(FederationTest, EvacueeRetriesWithBackoffUntilRoomReturns) {
     EXPECT_TRUE(st.pending);
     EXPECT_FALSE(st.lost);
   }
-  EXPECT_GT(fed.resilience().migration_retries, 0u);
+  EXPECT_GT(fed.resilience().cluster.migration_retries, 0u);
 
   fed.Run(Sec(4));  // Outage heals at 2 s; the next attempt lands home.
   Federation::VmStatus st = fed.vm_status("a");
@@ -170,14 +170,14 @@ TEST(FederationTest, EvacueeRetriesWithBackoffUntilRoomReturns) {
   EXPECT_FALSE(st.degraded);
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.migration_successes, 1u);
-  EXPECT_EQ(rc.evacuations_unresolved, 0u);
+  EXPECT_EQ(rc.cluster.migration_successes, 1u);
+  EXPECT_EQ(rc.cluster.evacuations_unresolved, 0u);
   // Backoff doubles from 50 ms: attempts at ~1.00/1.05/1.15/1.35/1.75/2.55 s,
   // so the hunt takes several retries but far fewer than a fixed-interval poll.
-  EXPECT_GE(rc.migration_retries, 4u);
-  EXPECT_LE(rc.migration_retries, 8u);
+  EXPECT_GE(rc.cluster.migration_retries, 4u);
+  EXPECT_LE(rc.cluster.migration_retries, 8u);
   // The VM was dark from the outage until past the heal.
-  EXPECT_GE(rc.vm_unavailable_ns, Sec(1));
+  EXPECT_GE(rc.cluster.vm_unavailable_ns, Sec(1));
 }
 
 TEST(FederationTest, ExhaustedAttemptBudgetMarksEvacuationUnresolved) {
@@ -199,11 +199,11 @@ TEST(FederationTest, ExhaustedAttemptBudgetMarksEvacuationUnresolved) {
   EXPECT_FALSE(st.pending);
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.evacuations, 1u);
-  EXPECT_EQ(rc.evacuations_unresolved, 1u);
-  EXPECT_EQ(rc.migration_attempts, 3u);
-  EXPECT_EQ(rc.migration_retries, 2u);  // Attempts 1 and 2 retried; 3 gave up.
-  EXPECT_EQ(rc.migration_successes, 0u);
+  EXPECT_EQ(rc.cluster.evacuations, 1u);
+  EXPECT_EQ(rc.cluster.evacuations_unresolved, 1u);
+  EXPECT_EQ(rc.cluster.migration_attempts, 3u);
+  EXPECT_EQ(rc.cluster.migration_retries, 2u);  // Attempts 1 and 2 retried; 3 gave up.
+  EXPECT_EQ(rc.cluster.migration_successes, 0u);
   // The survivor is untouched.
   EXPECT_EQ(fed.vm_status("b").host, 1);
 }
@@ -230,12 +230,12 @@ TEST(FederationTest, MigrationDeadlineFallsBackToDegradedFit) {
   EXPECT_FALSE(st.lost);
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.degraded_placements, 1u);
-  EXPECT_EQ(rc.migration_successes, 1u);
-  EXPECT_GT(rc.migration_retries, 0u);  // Full fit was tried first.
-  EXPECT_EQ(rc.evacuations_unresolved, 0u);
+  EXPECT_EQ(rc.cluster.degraded_placements, 1u);
+  EXPECT_EQ(rc.cluster.migration_successes, 1u);
+  EXPECT_GT(rc.cluster.migration_retries, 0u);  // Full fit was tried first.
+  EXPECT_EQ(rc.cluster.evacuations_unresolved, 0u);
   // Dark for at least the deadline before the federation settled for less.
-  EXPECT_GE(rc.vm_unavailable_ns, Ms(200));
+  EXPECT_GE(rc.cluster.vm_unavailable_ns, Ms(200));
 }
 
 TEST(FederationTest, InFlightCopyAbortsWhenTargetFails) {
@@ -254,7 +254,7 @@ TEST(FederationTest, InFlightCopyAbortsWhenTargetFails) {
   ASSERT_EQ(fed.AdmitVm(slow), std::optional<int>(0));
 
   fed.Run(Sec(2));  // Past the abort, before the heal.
-  EXPECT_EQ(fed.resilience().migration_aborts, 1u);
+  EXPECT_EQ(fed.resilience().cluster.migration_aborts, 1u);
   EXPECT_TRUE(fed.vm_status("a").pending);
 
   fed.Run(Sec(6));  // Host 1 heals at 3 s; the restarted copy lands.
@@ -264,11 +264,11 @@ TEST(FederationTest, InFlightCopyAbortsWhenTargetFails) {
   EXPECT_FALSE(st.pending);
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.migration_aborts, 1u);
-  EXPECT_EQ(rc.migration_successes, 1u);
-  EXPECT_EQ(rc.evacuations, 1u);
+  EXPECT_EQ(rc.cluster.migration_aborts, 1u);
+  EXPECT_EQ(rc.cluster.migration_successes, 1u);
+  EXPECT_EQ(rc.cluster.evacuations, 1u);
   // The blackout spans crash -> abort -> backoff -> heal -> full re-copy.
-  EXPECT_GE(rc.vm_unavailable_ns, Sec(3));
+  EXPECT_GE(rc.cluster.vm_unavailable_ns, Sec(3));
 }
 
 TEST(FederationTest, FrozenBaselineTakesTheFaultWithoutResponding) {
@@ -290,9 +290,9 @@ TEST(FederationTest, FrozenBaselineTakesTheFaultWithoutResponding) {
   EXPECT_EQ(fed.placer().HostLoad(0), Bandwidth::FromDouble(1.5));
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.host_crashes, 1u);
-  EXPECT_EQ(rc.evacuations, 0u);
-  EXPECT_EQ(rc.migration_attempts, 0u);
+  EXPECT_EQ(rc.cluster.host_crashes, 1u);
+  EXPECT_EQ(rc.cluster.evacuations, 0u);
+  EXPECT_EQ(rc.cluster.migration_attempts, 0u);
 }
 
 TEST(FederationTest, AdmissionRejectsWhatTheClusterCannotHold) {
@@ -305,8 +305,8 @@ TEST(FederationTest, AdmissionRejectsWhatTheClusterCannotHold) {
   EXPECT_FALSE(fed.AdmitVm(Spec("c", 1.0)).has_value());
 
   ResilienceCounters rc = fed.resilience();
-  EXPECT_EQ(rc.cluster_vms_admitted, 2u);
-  EXPECT_EQ(rc.cluster_vms_rejected, 1u);
+  EXPECT_EQ(rc.cluster.vms_admitted, 2u);
+  EXPECT_EQ(rc.cluster.vms_rejected, 1u);
 }
 
 TEST(FederationDeathTest, RejectsDuplicateVmNamesAndBadPlans) {

@@ -387,13 +387,13 @@ TEST(PcpuRecovery, ReplansOffTheDeadCoreAndAuditsClean) {
   }
   exp.Run(Ms(200));
 
-  EXPECT_GE(exp.dpwrap()->capacity_replans(), 2u);  // Offline + re-online.
-  EXPECT_GT(exp.auditor()->checks_run(), 0u);
-  EXPECT_EQ(exp.auditor()->total_violations(), 0u);
+  EXPECT_GE(exp.dpwrap()->stats().capacity_replans, 2u);  // Offline + re-online.
+  EXPECT_GT(exp.auditor()->stats().checks_run, 0u);
+  EXPECT_EQ(exp.auditor()->stats().total_violations, 0u);
   ResilienceCounters rc = exp.resilience();
-  EXPECT_EQ(rc.pcpu_offline_events, 1u);
-  EXPECT_EQ(rc.pcpu_online_events, 1u);
-  EXPECT_EQ(rc.capacity_replans, exp.dpwrap()->capacity_replans());
+  EXPECT_EQ(rc.faults.pcpu_offline_events, 1u);
+  EXPECT_EQ(rc.faults.pcpu_online_events, 1u);
+  EXPECT_EQ(rc.host.capacity_replans, exp.dpwrap()->stats().capacity_replans);
 }
 
 TEST(PcpuRecovery, DegradedPlanNeverExceedsEffectiveCapacity) {
@@ -414,9 +414,9 @@ TEST(PcpuRecovery, DegradedPlanNeverExceedsEffectiveCapacity) {
     rtas.back()->Start(0, Ms(200));
   }
   exp.Run(Ms(200));
-  EXPECT_GT(exp.auditor()->checks_run(), 0u);
-  EXPECT_EQ(exp.auditor()->total_violations(), 0u);
-  EXPECT_EQ(exp.resilience().pcpu_degrade_events, 1u);
+  EXPECT_GT(exp.auditor()->stats().checks_run, 0u);
+  EXPECT_EQ(exp.auditor()->stats().total_violations, 0u);
+  EXPECT_EQ(exp.resilience().faults.pcpu_degrade_events, 1u);
 }
 
 TEST(PcpuRecovery, FrozenLayoutKeepsNominalCapacity) {
@@ -435,7 +435,7 @@ TEST(PcpuRecovery, FrozenLayoutKeepsNominalCapacity) {
   PeriodicRta rta(g, "t", RtaParams{Ms(2), Ms(10)});
   rta.Start(0, Ms(100));
   exp.Run(Ms(100));
-  EXPECT_EQ(exp.dpwrap()->capacity_replans(), 0u);
+  EXPECT_EQ(exp.dpwrap()->stats().capacity_replans, 0u);
   EXPECT_FALSE(exp.machine().pcpu(1)->online());
   EXPECT_EQ(exp.machine().EffectiveCapacity(), Bandwidth::Cpus(1));
 }
