@@ -13,13 +13,15 @@
 //   * cancel_churn.calendar — schedule+cancel pairs over a live set.
 //   * sched_op.calendar — bare schedule+pop round trips.
 //   * replan — the BM_DpWrapGlobalSlice shape (100 reserved VCPUs, 1 ms
-//     global slices) measuring wall-clock ns per DP-WRAP replan.
+//     global slices) measuring wall-clock ns per DP-WRAP replan. The whole
+//     window (replans, picks, guest pEDF, job releases) must allocate
+//     nothing (hard assert).
 //   * tab6_sim.calendar — the full single-RTA-VMs experiment at reduced
 //     duration, measuring end-to-end simulated events/sec + peak RSS.
 //
 // Flags: --out=PATH (default BENCH_perf_suite.json), --scale=F (work
 // multiplier for quick local runs; the committed baseline uses 1.0).
-// Exits nonzero if the zero-alloc steady-state assertion fails.
+// Exits nonzero if either zero-alloc steady-state assertion fails.
 
 #include <cstdint>
 #include <cstdio>
@@ -279,6 +281,7 @@ int Run(int argc, char** argv) {
   report.Add("cancel_churn.calendar.ns_per_op", churn.NsPerOp(), "ns", false, 0.40);
   report.Add("sched_op.calendar.ns_per_op", sched.NsPerOp(), "ns", false, 0.40);
   report.Add("replan.ns_per_replan", replan_ns, "ns", false, 0.50);
+  report.Add("replan.steady_allocs_per_replan", replan.AllocsPerOp(), "allocs/op", false, 0.0);
   report.Add("tab6_sim.events_per_sec", sim.OpsPerSec(), "events/s", true, 0.50);
   report.Add("peak_rss_kb", static_cast<double>(peak_rss), "KiB", false, 0.75);
   if (!report.WriteFile(out_path)) {
@@ -287,18 +290,21 @@ int Run(int argc, char** argv) {
   std::printf("perf_suite: wrote %s (%zu metrics, schema v%d)\n", out_path.c_str(),
               report.metrics.size(), report.schema_version);
 
-  // The zero-alloc steady state is an invariant, not a perf number: fail the
-  // run outright if the measured window allocated at all.
-  if (shape.allocs != 0) {
-    std::fprintf(stderr,
-                 "perf_suite: FAIL — calendar steady state performed %llu allocations "
-                 "(%llu bytes) over %llu ops; expected zero\n",
-                 static_cast<unsigned long long>(shape.allocs),
-                 static_cast<unsigned long long>(shape.alloc_bytes),
-                 static_cast<unsigned long long>(shape.ops));
-    return 1;
+  // The zero-alloc steady states are invariants, not perf numbers: fail the
+  // run outright if a measured window allocated at all.
+  int rc = 0;
+  for (const PhaseResult* p : {&shape, &replan}) {
+    if (p->allocs != 0) {
+      std::fprintf(stderr,
+                   "perf_suite: FAIL — %s steady state performed %llu allocations "
+                   "(%llu bytes) over %llu ops; expected zero\n",
+                   p->name.c_str(), static_cast<unsigned long long>(p->allocs),
+                   static_cast<unsigned long long>(p->alloc_bytes),
+                   static_cast<unsigned long long>(p->ops));
+      rc = 1;
+    }
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace

@@ -9,9 +9,10 @@
 #ifndef SRC_GUEST_TASK_H_
 #define SRC_GUEST_TASK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "src/common/bandwidth.h"
 #include "src/common/time.h"
@@ -53,6 +54,44 @@ struct Job {
   TimeNs deadline = 0;
   TimeNs work = 0;
   TimeNs remaining = 0;
+};
+
+// FIFO of a task's pending jobs: a vector with a moving head. Popping
+// advances the head; a push that would grow the storage first slides the
+// live jobs to the front. A queue whose length stays bounded therefore stops
+// allocating once it has seen its longest backlog.
+class JobQueue {
+ public:
+  bool empty() const { return head_ == jobs_.size(); }
+  size_t size() const { return jobs_.size() - head_; }
+  Job& front() { return jobs_[head_]; }
+  const Job& front() const { return jobs_[head_]; }
+  void push_back(const Job& job) {
+    if (head_ > 0 && jobs_.size() == jobs_.capacity()) {
+      jobs_.erase(jobs_.begin(), jobs_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    jobs_.push_back(job);
+  }
+  void pop_front() {
+    if (++head_ == jobs_.size()) {
+      clear();
+    }
+  }
+  void clear() {
+    jobs_.clear();
+    head_ = 0;
+  }
+  std::vector<Job>::iterator begin() { return jobs_.begin() + static_cast<std::ptrdiff_t>(head_); }
+  std::vector<Job>::iterator end() { return jobs_.end(); }
+  std::vector<Job>::const_iterator begin() const {
+    return jobs_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  std::vector<Job>::const_iterator end() const { return jobs_.end(); }
+
+ private:
+  std::vector<Job> jobs_;
+  size_t head_ = 0;
 };
 
 // Receives job completions (deadline-miss monitors, latency recorders).
@@ -122,7 +161,7 @@ class Task {
   int vcpu_index_ = -1;
   bool shed_ = false;
   TimeNs compressed_slice_ = 0;  // 0 = not compressed.
-  std::deque<Job> jobs_;
+  JobQueue jobs_;
   TimeNs next_release_ = kTimeNever;
   JobObserver* observer_ = nullptr;
   uint64_t jobs_completed_ = 0;

@@ -1,12 +1,12 @@
 #include "src/rtvirt/dpwrap.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <span>
 
 #include "src/hv/machine.h"
-#include "src/rtvirt/wrap_layout.h"
 
 namespace rtvirt {
 
@@ -28,6 +28,14 @@ void DpWrapScheduler::Attach(Machine* machine) {
   if (config_.guest_trust.enabled) {
     trust_event_ = machine_->sim()->After(config_.guest_trust.scan_period, {this, kEvTrust});
   }
+}
+
+DpWrapScheduler::VmTrust& DpWrapScheduler::TrustOf(const Vm* vm) {
+  std::optional<VmTrust>& t = trust_[vm->id()];
+  if (!t) {
+    t.emplace();
+  }
+  return *t;
 }
 
 void DpWrapScheduler::RollTrustWindow(VmTrust& t, TimeNs now) {
@@ -52,14 +60,12 @@ void DpWrapScheduler::TrustViolation(VmTrust& t) {
 
 void DpWrapScheduler::TrustTick() {
   const DpWrapConfig::GuestTrust& gt = config_.guest_trust;
-  // Machine VM-index order, not map order: rehabilitation replans must fire
-  // in a deterministic sequence.
-  for (int i = 0; i < machine_->num_vms(); ++i) {
-    auto it = trust_.find(machine_->vm(i));
-    if (it == trust_.end()) {
+  // VM-id order: rehabilitation replans must fire in a deterministic sequence.
+  for (std::optional<VmTrust>& entry : trust_) {
+    if (!entry) {
       continue;
     }
-    VmTrust& t = it->second;
+    VmTrust& t = *entry;
     t.score *= gt.score_decay;
     if (t.score < 1e-6) {
       t.score = 0.0;
@@ -87,8 +93,8 @@ void DpWrapScheduler::TrustTick() {
 }
 
 bool DpWrapScheduler::Quarantined(const Vm* vm) const {
-  auto it = trust_.find(vm);
-  return it != trust_.end() && it->second.quarantined;
+  size_t id = static_cast<size_t>(vm->id());
+  return id < trust_.size() && trust_[id] && trust_[id]->quarantined;
 }
 
 int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& args) {
@@ -201,14 +207,12 @@ void DpWrapScheduler::WatchdogTick() {
   // reservations; without the watchdog that bandwidth stays admitted forever
   // and blocks new tenants. Reclaim it host-side.
   bool changed = false;
-  for (auto it = reservations_.begin(); it != reservations_.end();) {
-    if (it->first->vm()->crashed()) {
-      total_ -= it->second.bw;
+  for (std::optional<Reservation>& res : reservations_) {
+    if (res && res->vcpu->vm()->crashed()) {
+      total_ -= res->bw;
       ++stats_.watchdog_reclaims;
-      it = reservations_.erase(it);
+      DropReservation(res->vcpu->global_id());
       changed = true;
-    } else {
-      ++it;
     }
   }
   if (changed) {
@@ -218,9 +222,8 @@ void DpWrapScheduler::WatchdogTick() {
 }
 
 void DpWrapScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    it->second.used_in_window += ran;
+  if (Reservation* res = FindReservation(vcpu)) {
+    res->used_in_window += ran;
   }
 }
 
@@ -231,7 +234,8 @@ void DpWrapScheduler::TaxTick() {
   }
   double window = static_cast<double>(config_.idle_tax.window);
   bool changed = false;
-  for (auto& [v, res] : reservations_) {
+  for (int id : layout_order_) {
+    Reservation& res = *reservations_[id];
     double granted = static_cast<double>(res.EffectiveBw().ppb()) / Bandwidth::kUnit * window;
     double u = granted > 0 ? static_cast<double>(res.used_in_window) / granted : 0.0;
     double next = std::clamp(res.tax_factor * std::min(u, 1.0) + config_.idle_tax.headroom,
@@ -253,62 +257,118 @@ Bandwidth DpWrapScheduler::total_effective() const {
     return total_;
   }
   Bandwidth total;
-  for (const auto& [v, res] : reservations_) {
-    total += res.EffectiveBw();
+  for (int id : layout_order_) {
+    total += reservations_[id]->EffectiveBw();
   }
   return total;
 }
 
 double DpWrapScheduler::TaxFactor(const Vcpu* vcpu) const {
-  auto it = reservations_.find(vcpu);
-  return it == reservations_.end() ? 1.0 : it->second.tax_factor;
+  const Reservation* res = FindReservation(vcpu);
+  return res == nullptr ? 1.0 : res->tax_factor;
 }
 
-void DpWrapScheduler::VcpuInserted(Vcpu* vcpu) { all_vcpus_.push_back(vcpu); }
+DpWrapScheduler::Reservation* DpWrapScheduler::FindReservation(const Vcpu* vcpu) {
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  return id < reservations_.size() && reservations_[id] ? &*reservations_[id] : nullptr;
+}
+
+const DpWrapScheduler::Reservation* DpWrapScheduler::FindReservation(const Vcpu* vcpu) const {
+  return const_cast<DpWrapScheduler*>(this)->FindReservation(vcpu);
+}
+
+void DpWrapScheduler::DropReservation(int id) {
+  reservations_[id].reset();
+  layout_order_.erase(std::find(layout_order_.begin(), layout_order_.end(), id));
+}
+
+Vcpu* DpWrapScheduler::VcpuAt(int gid) const {
+  if (gid < 0 || static_cast<size_t>(gid) >= position_.size() || position_[gid] < 0) {
+    return nullptr;
+  }
+  return all_vcpus_[position_[gid]];
+}
+
+void DpWrapScheduler::MarkAllAwake() {
+  size_t n = all_vcpus_.size();
+  for (size_t w = 0; w < awake_.size(); ++w) {
+    size_t bits = std::min<size_t>(64, n - w * 64);
+    awake_[w] = bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+  }
+}
+
+void DpWrapScheduler::VcpuInserted(Vcpu* vcpu) {
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  if (id >= reservations_.size()) {
+    reservations_.resize(id + 1);
+    pending_affinity_.resize(id + 1);
+    vcpu_segments_.resize(id + 1);
+    position_.resize(id + 1, -1);
+  }
+  // A nominal slice gives a VCPU at most two pieces (one McNaughton split).
+  vcpu_segments_[id].reserve(2);
+  size_t vm_id = static_cast<size_t>(vcpu->vm()->id());
+  if (vm_id >= trust_.size()) {
+    trust_.resize(vm_id + 1);
+  }
+  size_t pos = all_vcpus_.size();
+  position_[id] = static_cast<int>(pos);
+  all_vcpus_.push_back(vcpu);
+  if (pos / 64 >= awake_.size()) {
+    awake_.push_back(0);
+  }
+  if (!vcpu->blocked()) {
+    SetAwake(pos);
+  }
+}
 
 void DpWrapScheduler::VcpuRemoved(Vcpu* vcpu) {
+  int id = vcpu->global_id();
   all_vcpus_.erase(std::remove(all_vcpus_.begin(), all_vcpus_.end(), vcpu), all_vcpus_.end());
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    total_ -= it->second.bw;
-    reservations_.erase(it);
+  // Later VCPUs shift down one position: rebuild the position table and the
+  // awake mask (exactly, from the VCPU states).
+  position_[id] = -1;
+  awake_.assign((all_vcpus_.size() + 63) / 64, 0);
+  for (size_t pos = 0; pos < all_vcpus_.size(); ++pos) {
+    position_[all_vcpus_[pos]->global_id()] = static_cast<int>(pos);
+    if (!all_vcpus_[pos]->blocked()) {
+      SetAwake(pos);
+    }
+  }
+  if (reservations_[id]) {
+    total_ -= reservations_[id]->bw;
+    DropReservation(id);
     ScheduleReplan();
   }
-  vcpu_segments_.erase(vcpu);
+  vcpu_segments_[id].clear();
 }
 
 void DpWrapScheduler::SetAffinity(Vcpu* vcpu, int pcpu) {
   assert(pcpu >= -1 && pcpu < machine_->num_pcpus());
   // Persist the pin across reservation lifetimes (an RTA may unregister and
   // re-register; the VM's cache-locality preference does not change).
-  pending_affinity_[vcpu] = pcpu;
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    it->second.affinity = pcpu;
+  pending_affinity_[vcpu->global_id()] = pcpu;
+  if (Reservation* res = FindReservation(vcpu)) {
+    res->affinity = pcpu;
     ScheduleReplan();
   }
 }
 
 int DpWrapScheduler::Affinity(const Vcpu* vcpu) const {
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    return it->second.affinity;
+  if (const Reservation* res = FindReservation(vcpu)) {
+    return res->affinity;
   }
-  auto pending = pending_affinity_.find(vcpu);
-  return pending == pending_affinity_.end() ? -1 : pending->second;
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  return id < pending_affinity_.size() ? pending_affinity_[id].value_or(-1) : -1;
 }
 
 Bandwidth DpWrapScheduler::ReservedBw(const Vcpu* vcpu) const {
-  auto it = reservations_.find(vcpu);
-  return it == reservations_.end() ? Bandwidth::Zero() : it->second.bw;
+  const Reservation* res = FindReservation(vcpu);
+  return res == nullptr ? Bandwidth::Zero() : res->bw;
 }
 
 bool DpWrapScheduler::HasActiveSegment(const Vcpu* vcpu, TimeNs now) const {
-  auto it = vcpu_segments_.find(vcpu);
-  if (it == vcpu_segments_.end()) {
-    return false;
-  }
-  for (const PlanSegment& seg : it->second) {
+  for (const PlanSegment& seg : vcpu_segments_[vcpu->global_id()]) {
     if (seg.start <= now && now < seg.end) {
       return true;
     }
@@ -340,7 +400,7 @@ void DpWrapScheduler::Replan() {
   // Cost model: the global deadline is derived on one PCPU in O(log n) from
   // the per-VCPU deadlines (section 4.5) and shared with the others.
   TimeNs cost = config_.replan_cost_base;
-  for (size_t k = reservations_.size(); k > 1; k >>= 1) {
+  for (size_t k = layout_order_.size(); k > 1; k >>= 1) {
     cost += config_.replan_cost_per_log;
   }
   machine_->mutable_overhead().schedule_time += cost;
@@ -349,7 +409,9 @@ void DpWrapScheduler::Replan() {
   TimeNs next_gd = now + config_.max_global_slice;
   bool trust_on = config_.guest_trust.enabled;
   TimeNs floor = config_.guest_trust.floor(config_.min_global_slice);
-  for (auto& [v, res] : reservations_) {
+  for (int id : layout_order_) {
+    Reservation& res = *reservations_[id];
+    const Vcpu* v = res.vcpu;
     const SharedSchedPage& page = v->vm()->shared_page();
     TimeNs cand = page.next_deadline(v->index());
     bool distrusted = false;
@@ -420,15 +482,9 @@ void DpWrapScheduler::Replan() {
   slice_end_ = next_gd;
   TimeNs slice_len = slice_end_ - slice_start_;
 
-  // Proportional split of the global slice, laid out in stable order so a
-  // VCPU's segment offsets stay put across slices unless reservations change.
-  std::vector<Reservation*> ordered;
-  ordered.reserve(reservations_.size());
-  for (auto& [v, res] : reservations_) {
-    ordered.push_back(&res);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Reservation* a, const Reservation* b) { return a->order < b->order; });
+  // The proportional split of the global slice is laid out in stable
+  // (layout_order_) order so a VCPU's segment offsets stay put across slices
+  // unless reservations change.
 
   // Proportional allocations with a per-reservation sub-ns carry, keeping the
   // cumulative supply within 1 ns of the fluid schedule over any window.
@@ -446,11 +502,13 @@ void DpWrapScheduler::Replan() {
   for (auto& plan : pcpu_plan_) {
     plan.clear();
   }
-  vcpu_segments_.clear();
+  for (auto& segs : vcpu_segments_) {
+    segs.clear();
+  }
   auto emit = [&](Vcpu* v, int pcpu, TimeNs start, TimeNs end) {
     PlanSegment ps{v, pcpu, slice_start_ + start, slice_start_ + end};
     pcpu_plan_[pcpu].push_back(ps);
-    vcpu_segments_[v].push_back(ps);
+    vcpu_segments_[v->global_id()].push_back(ps);
   };
 
   // Degraded machines (pcpu_recovery only) take the heterogeneous layout
@@ -466,13 +524,17 @@ void DpWrapScheduler::Replan() {
     }
   }
 
-  std::vector<TimeNs> occupied(machine_->num_pcpus(), 0);
-  std::vector<Reservation*> wrapped;
-  wrapped.reserve(ordered.size());
+  std::vector<TimeNs>& occupied = occupied_;
+  std::vector<Reservation*>& wrapped = wrapped_;
+  std::vector<WrapItem>& items = items_;
+  occupied.assign(machine_->num_pcpus(), 0);
+  wrapped.clear();
+  items.clear();
   if (!degraded) {
     // Affinity-pinned reservations first, at the head of their PCPU's chunk:
     // they never migrate and never split (paper section 6).
-    for (Reservation* res : ordered) {
+    for (int id : layout_order_) {
+      Reservation* res = &*reservations_[id];
       if (res->affinity < 0) {
         wrapped.push_back(res);
         continue;
@@ -490,8 +552,6 @@ void DpWrapScheduler::Replan() {
     for (TimeNs occ : occupied) {
       free_total += slice_len - occ;
     }
-    std::vector<WrapItem> items;
-    items.reserve(wrapped.size());
     TimeNs allocated = 0;
     for (size_t i = 0; i < wrapped.size(); ++i) {
       // The carries can overshoot capacity by < n ns; trim the tail.
@@ -499,16 +559,14 @@ void DpWrapScheduler::Replan() {
       allocated += alloc;
       items.push_back(WrapItem{static_cast<int>(i), alloc});
     }
-    std::vector<WrapSegment> segments = WrapAroundFrom(items, slice_len, occupied);
-    for (const WrapSegment& seg : segments) {
-      emit(wrapped[seg.item_id]->vcpu, seg.pcpu, seg.start, seg.end);
-    }
+    WrapAroundFrom(items, slice_len, occupied, wrap_buffers_);
   } else {
     // Degraded layout: plan in *effective* (full-speed-equivalent) ns
     // against the surviving cores, then stretch back to wall-clock segments.
     // take_alloc stays in effective ns, so the carry accumulators keep
     // tracking the fluid schedule across healthy and degraded slices alike.
-    std::vector<int64_t> speeds(machine_->num_pcpus(), 0);
+    std::vector<int64_t>& speeds = speeds_;
+    speeds.assign(machine_->num_pcpus(), 0);
     for (int k = 0; k < machine_->num_pcpus(); ++k) {
       const Pcpu* pc = machine_->pcpu(k);
       speeds[k] = pc->online() ? pc->speed_ppb() : 0;
@@ -519,7 +577,8 @@ void DpWrapScheduler::Replan() {
       }
       return SpeedWallToWork(slice_len - occupied[k], speeds[k]);
     };
-    for (Reservation* res : ordered) {
+    for (int id : layout_order_) {
+      Reservation* res = &*reservations_[id];
       int pcpu = res->affinity;
       if (pcpu < 0 || speeds[pcpu] <= 0) {
         // A pin to a dead core cannot hold: evacuate into the wrap. The pin
@@ -538,26 +597,27 @@ void DpWrapScheduler::Replan() {
     for (int k = 0; k < machine_->num_pcpus(); ++k) {
       free_total += eff_free(k);
     }
-    std::vector<WrapItem> items;
-    items.reserve(wrapped.size());
     TimeNs allocated = 0;
     for (size_t i = 0; i < wrapped.size(); ++i) {
       TimeNs alloc = take_alloc(wrapped[i], std::min(slice_len, free_total - allocated));
       allocated += alloc;
       items.push_back(WrapItem{static_cast<int>(i), alloc});
     }
-    std::vector<WrapSegment> segments =
-        WrapAroundDegraded(items, slice_len, occupied, speeds);
-    for (const WrapSegment& seg : segments) {
-      emit(wrapped[seg.item_id]->vcpu, seg.pcpu, seg.start, seg.end);
-    }
+    WrapAroundDegraded(items, slice_len, occupied, speeds, wrap_buffers_);
+  }
+  for (const WrapSegment& seg : wrap_buffers_.segments) {
+    emit(wrapped[seg.item_id]->vcpu, seg.pcpu, seg.start, seg.end);
   }
   // Host->guest notification of the slice allocation (Figure 2).
-  for (const auto& [v, segs] : vcpu_segments_) {
+  for (const std::vector<PlanSegment>& segs : vcpu_segments_) {
+    if (segs.empty()) {
+      continue;
+    }
     TimeNs alloc = 0;
     for (const PlanSegment& s : segs) {
       alloc += s.end - s.start;
     }
+    const Vcpu* v = segs.front().vcpu;
     v->vm()->shared_page().PublishAllocation(v->index(), segs.front().start, alloc);
   }
 
@@ -565,21 +625,45 @@ void DpWrapScheduler::Replan() {
   TickleAll();
 }
 
-Vcpu* DpWrapScheduler::PickBestEffort(TimeNs now, Pcpu* pcpu) {
-  size_t n = all_vcpus_.size();
-  for (size_t i = 0; i < n; ++i) {
-    Vcpu* v = all_vcpus_[(be_cursor_ + i) % n];
-    bool continuing = v->running() && v->pcpu() == pcpu;
-    if (!v->runnable() && !continuing) {
-      continue;
+Vcpu* DpWrapScheduler::ScanAwake(size_t lo, size_t hi, TimeNs now, Pcpu* pcpu) {
+  for (size_t w = lo / 64; w * 64 < hi; ++w) {
+    uint64_t bits = awake_[w];
+    if (w == lo / 64) {
+      bits &= ~uint64_t{0} << (lo % 64);
     }
-    if (HasActiveSegment(v, now)) {
-      continue;  // Its own segment's PCPU is about to pick it.
+    for (; bits != 0; bits &= bits - 1) {
+      size_t pos = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      if (pos >= hi) {
+        return nullptr;
+      }
+      Vcpu* v = all_vcpus_[pos];
+      bool continuing = v->running() && v->pcpu() == pcpu;
+      if (!v->runnable() && !continuing) {
+        if (v->blocked()) {
+          ClearAwake(pos);  // Only VcpuWake can make it eligible again.
+        }
+        continue;
+      }
+      if (HasActiveSegment(v, now)) {
+        continue;  // Its own segment's PCPU is about to pick it.
+      }
+      be_cursor_ = pos + 1 == all_vcpus_.size() ? 0 : pos + 1;
+      return v;
     }
-    be_cursor_ = (be_cursor_ + i + 1) % n;
-    return v;
   }
   return nullptr;
+}
+
+Vcpu* DpWrapScheduler::PickBestEffort(TimeNs now, Pcpu* pcpu) {
+  // Round-robin over insertion order from be_cursor_, visiting only awake
+  // positions: the same VCPU, and the same cursor, as a scan of every VCPU.
+  size_t n = all_vcpus_.size();
+  if (n == 0) {
+    return nullptr;
+  }
+  size_t start = be_cursor_ < n ? be_cursor_ : be_cursor_ % n;
+  Vcpu* v = ScanAwake(start, n, now, pcpu);
+  return v != nullptr ? v : ScanAwake(0, start, now, pcpu);
 }
 
 ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {
@@ -606,13 +690,10 @@ ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {
     if (v->running() && v->pcpu() != pcpu) {
       Pcpu* holder = v->pcpu();
       bool holder_owns = false;
-      auto own = vcpu_segments_.find(v);
-      if (own != vcpu_segments_.end()) {
-        for (const PlanSegment& s : own->second) {
-          if (s.pcpu == holder->id() && s.start <= now && now < s.end) {
-            holder_owns = true;
-            break;
-          }
+      for (const PlanSegment& s : vcpu_segments_[v->global_id()]) {
+        if (s.pcpu == holder->id() && s.start <= now && now < s.end) {
+          holder_owns = true;
+          break;
         }
       }
       if (holder_owns) {
@@ -648,29 +729,27 @@ ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {
 }
 
 void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
+  SetAwake(position_[vcpu->global_id()]);
   TimeNs now = machine_->sim()->Now();
   // How much of this VCPU's reserved time is still ahead in the current
   // slice, and which PCPU serves it next.
   TimeNs remaining_seg = 0;
   const PlanSegment* next_seg = nullptr;
-  auto it = vcpu_segments_.find(vcpu);
-  if (it != vcpu_segments_.end()) {
-    for (const PlanSegment& seg : it->second) {
-      if (seg.end > now) {
-        remaining_seg += seg.end - std::max(seg.start, now);
-        if (next_seg == nullptr) {
-          next_seg = &seg;
-        }
+  for (const PlanSegment& seg : vcpu_segments_[vcpu->global_id()]) {
+    if (seg.end > now) {
+      remaining_seg += seg.end - std::max(seg.start, now);
+      if (next_seg == nullptr) {
+        next_seg = &seg;
       }
     }
   }
-  auto res = reservations_.find(vcpu);
-  if (res != reservations_.end() && config_.replan_on_wake) {
+  Reservation* res = FindReservation(vcpu);
+  if (res != nullptr && config_.replan_on_wake) {
     // Replan when the wake finds a substantial part of this slice's share
     // already gone (fully passed, or the wake landed mid-segment): the
     // arrival would otherwise wait most of a period for the next slice.
     // Never replan within min_global_slice of the last plan.
-    TimeNs full_share = res->second.EffectiveBw().SliceOf(slice_end_ - slice_start_);
+    TimeNs full_share = res->EffectiveBw().SliceOf(slice_end_ - slice_start_);
     if (remaining_seg + Us(1) < full_share) {
       TimeNs earliest = slice_start_ + config_.min_global_slice;
       if (now >= earliest) {
@@ -685,13 +764,11 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
       // deferred slice hands the share back. Repeated wakes inside the same
       // deferral window must not stack compensation past one period of
       // backlog plus this deferral's worth — the bound the auditor checks.
-      __int128 comp = static_cast<__int128>(res->second.carry_ppb) +
-                      static_cast<__int128>(res->second.EffectiveBw().ppb()) *
-                          (earliest - now);
-      __int128 comp_max =
-          static_cast<__int128>(res->second.EffectiveBw().ppb()) *
-          (res->second.period + config_.min_global_slice);
-      res->second.carry_ppb = static_cast<int64_t>(std::min(comp, comp_max));
+      __int128 comp = static_cast<__int128>(res->carry_ppb) +
+                      static_cast<__int128>(res->EffectiveBw().ppb()) * (earliest - now);
+      __int128 comp_max = static_cast<__int128>(res->EffectiveBw().ppb()) *
+                          (res->period + config_.min_global_slice);
+      res->carry_ppb = static_cast<int64_t>(std::min(comp, comp_max));
       // Fall through: use whatever segment time remains until the replan.
     }
   }
@@ -699,7 +776,7 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
     machine_->pcpu(next_seg->pcpu)->RequestReschedule();
     return;
   }
-  if (res != reservations_.end()) {
+  if (res != nullptr) {
     return;  // replan_on_wake off: served from the next global slice on.
   }
   // Best-effort wake: grab an idle PCPU if there is one (round-robin so
@@ -718,7 +795,7 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
   }
 }
 
-void DpWrapScheduler::VcpuBlock(Vcpu* vcpu) { (void)vcpu; }
+void DpWrapScheduler::VcpuBlock(Vcpu* vcpu) { ClearAwake(position_[vcpu->global_id()]); }
 
 void DpWrapScheduler::PcpuCapacityChanged(Pcpu* pcpu) {
   (void)pcpu;
@@ -748,14 +825,16 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
   if (bw > Bandwidth::Zero() && period <= 0) {
     return kHypercallInvalid;
   }
-  auto it = reservations_.find(vcpu);
-  Bandwidth old = it == reservations_.end() ? Bandwidth::Zero() : it->second.bw;
+  if (static_cast<size_t>(vcpu->global_id()) >= reservations_.size()) {
+    return kHypercallInvalid;  // Not a VCPU of this scheduler's machine.
+  }
+  Reservation* existing = FindReservation(vcpu);
+  Bandwidth old = existing == nullptr ? Bandwidth::Zero() : existing->bw;
   Bandwidth new_total = total_ - old + bw;
   if (admit) {
     // With the idle tax, admission runs against the *taxed* total: idle
     // over-claims do not block new tenants.
-    Bandwidth old_eff =
-        it == reservations_.end() ? Bandwidth::Zero() : it->second.EffectiveBw();
+    Bandwidth old_eff = existing == nullptr ? Bandwidth::Zero() : existing->EffectiveBw();
     Bandwidth admitted_total = total_effective() - old_eff + bw;
     Bandwidth limit = capacity_ + Bandwidth::FromPpb(config_.admission_epsilon_ppb);
     if (config_.overload.enabled &&
@@ -805,32 +884,29 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
   total_ = new_total;
   TimeNs clamped_period = std::min(period, config_.max_global_slice);
   if (bw == Bandwidth::Zero()) {
-    if (it != reservations_.end()) {
-      reservations_.erase(it);
+    if (existing != nullptr) {
+      DropReservation(vcpu->global_id());
     }
-  } else if (it != reservations_.end()) {
-    it->second.bw = bw;
-    it->second.period = clamped_period;
+  } else if (existing != nullptr) {
+    existing->bw = bw;
+    existing->period = clamped_period;
     // Supply-debt earned at the old rate does not survive a shrink: the
     // carry's backlog entitlement is one period at the *current* bandwidth
     // (the same bound take_alloc and the auditor enforce), or a compressed
     // reservation would keep claiming its pre-compression share.
-    __int128 carry_max =
-        static_cast<__int128>(it->second.EffectiveBw().ppb()) * clamped_period;
-    if (static_cast<__int128>(it->second.carry_ppb) > carry_max) {
-      it->second.carry_ppb = static_cast<int64_t>(carry_max);
+    __int128 carry_max = static_cast<__int128>(existing->EffectiveBw().ppb()) * clamped_period;
+    if (static_cast<__int128>(existing->carry_ppb) > carry_max) {
+      existing->carry_ppb = static_cast<int64_t>(carry_max);
     }
   } else {
-    Reservation res;
+    int id = vcpu->global_id();
+    Reservation& res = reservations_[id].emplace();
     res.vcpu = vcpu;
     res.bw = bw;
     res.period = clamped_period;
     res.order = next_order_++;
-    auto pending = pending_affinity_.find(vcpu);
-    if (pending != pending_affinity_.end()) {
-      res.affinity = pending->second;
-    }
-    reservations_[vcpu] = res;
+    res.affinity = pending_affinity_[id].value_or(-1);
+    layout_order_.push_back(id);  // The largest order so far: stays sorted.
   }
   return kHypercallOk;
 }
@@ -861,9 +937,9 @@ int64_t DpWrapScheduler::Hypercall(Vcpu* caller, const HypercallArgs& args) {
       if (args.vcpu_b == nullptr) {
         return kHypercallInvalid;
       }
-      auto itb = reservations_.find(args.vcpu_b);
-      Bandwidth old_b = itb == reservations_.end() ? Bandwidth::Zero() : itb->second.bw;
-      TimeNs old_period_b = itb == reservations_.end() ? 0 : itb->second.period;
+      const Reservation* res_b = FindReservation(args.vcpu_b);
+      Bandwidth old_b = res_b == nullptr ? Bandwidth::Zero() : res_b->bw;
+      TimeNs old_period_b = res_b == nullptr ? 0 : res_b->period;
       int64_t rc_b =
           ApplyReservation(args.vcpu_b, args.bw_b, args.period_b, /*admit=*/false);
       if (rc_b != kHypercallOk) {
@@ -907,19 +983,13 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     w.U32(static_cast<uint32_t>(v->global_id()));
   }
 
-  // Pointer-keyed maps are serialized in id order so the byte stream (and
-  // hence the divergence digest) is independent of hash-table layout.
-  std::vector<std::pair<const Vcpu*, const Reservation*>> res_sorted;
-  res_sorted.reserve(reservations_.size());
-  for (const auto& [v, res] : reservations_) {
-    res_sorted.push_back({v, &res});
-  }
-  std::sort(res_sorted.begin(), res_sorted.end(), [](const auto& a, const auto& b) {
-    return a.first->global_id() < b.first->global_id();
-  });
-  w.U32(static_cast<uint32_t>(res_sorted.size()));
-  for (const auto& [v, res] : res_sorted) {
-    w.U32(static_cast<uint32_t>(v->global_id()));
+  // The id-indexed tables are written in id order.
+  w.U32(static_cast<uint32_t>(layout_order_.size()));
+  for (const std::optional<Reservation>& res : reservations_) {
+    if (!res) {
+      continue;
+    }
+    w.U32(static_cast<uint32_t>(res->vcpu->global_id()));
     w.I64(res->bw.ppb());
     w.I64(res->period);
     w.U64(res->order);
@@ -931,16 +1001,13 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     w.I64(res->last_floor_publish);
   }
 
-  std::vector<std::pair<int, int>> pins;
-  pins.reserve(pending_affinity_.size());
-  for (const auto& [v, pin] : pending_affinity_) {
-    pins.push_back({v->global_id(), pin});
-  }
-  std::sort(pins.begin(), pins.end());
-  w.U32(static_cast<uint32_t>(pins.size()));
-  for (const auto& [gid, pin] : pins) {
-    w.U32(static_cast<uint32_t>(gid));
-    w.U32(static_cast<uint32_t>(pin));
+  w.U32(static_cast<uint32_t>(std::ranges::count_if(
+      pending_affinity_, [](const std::optional<int>& pin) { return pin.has_value(); })));
+  for (size_t gid = 0; gid < pending_affinity_.size(); ++gid) {
+    if (pending_affinity_[gid]) {
+      w.U32(static_cast<uint32_t>(gid));
+      w.U32(static_cast<uint32_t>(*pending_affinity_[gid]));
+    }
   }
 
   auto save_segment = [&w](const PlanSegment& seg) {
@@ -956,19 +1023,15 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
       save_segment(seg);
     }
   }
-  std::vector<std::pair<const Vcpu*, const std::vector<PlanSegment>*>> segs_sorted;
-  segs_sorted.reserve(vcpu_segments_.size());
-  for (const auto& [v, segs] : vcpu_segments_) {
-    segs_sorted.push_back({v, &segs});
-  }
-  std::sort(segs_sorted.begin(), segs_sorted.end(), [](const auto& a, const auto& b) {
-    return a.first->global_id() < b.first->global_id();
-  });
-  w.U32(static_cast<uint32_t>(segs_sorted.size()));
-  for (const auto& [v, segs] : segs_sorted) {
-    w.U32(static_cast<uint32_t>(v->global_id()));
-    w.U32(static_cast<uint32_t>(segs->size()));
-    for (const PlanSegment& seg : *segs) {
+  w.U32(static_cast<uint32_t>(std::ranges::count_if(
+      vcpu_segments_, [](const std::vector<PlanSegment>& segs) { return !segs.empty(); })));
+  for (size_t gid = 0; gid < vcpu_segments_.size(); ++gid) {
+    if (vcpu_segments_[gid].empty()) {
+      continue;
+    }
+    w.U32(static_cast<uint32_t>(gid));
+    w.U32(static_cast<uint32_t>(vcpu_segments_[gid].size()));
+    for (const PlanSegment& seg : vcpu_segments_[gid]) {
       save_segment(seg);
     }
   }
@@ -979,16 +1042,14 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     w.I64(h.bw.ppb());
   }
 
-  std::vector<std::pair<const Vm*, const VmTrust*>> trust_sorted;
-  trust_sorted.reserve(trust_.size());
-  for (const auto& [vm, t] : trust_) {
-    trust_sorted.push_back({vm, &t});
-  }
-  std::sort(trust_sorted.begin(), trust_sorted.end(),
-            [](const auto& a, const auto& b) { return a.first->id() < b.first->id(); });
-  w.U32(static_cast<uint32_t>(trust_sorted.size()));
-  for (const auto& [vm, t] : trust_sorted) {
-    w.U32(static_cast<uint32_t>(vm->id()));
+  w.U32(static_cast<uint32_t>(std::ranges::count_if(
+      trust_, [](const std::optional<VmTrust>& t) { return t.has_value(); })));
+  for (size_t vm_id = 0; vm_id < trust_.size(); ++vm_id) {
+    const std::optional<VmTrust>& t = trust_[vm_id];
+    if (!t) {
+      continue;
+    }
+    w.U32(static_cast<uint32_t>(vm_id));
     w.F64(t->tokens);
     w.I64(t->token_time);
     w.Bool(t->bucket_init);
@@ -1032,25 +1093,23 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     }
   }
 
-  auto lookup = [this](int gid) -> Vcpu* {
-    for (Vcpu* v : all_vcpus_) {
-      if (v->global_id() == gid) {
-        return v;
-      }
-    }
-    return nullptr;
-  };
+  // Restored VCPU states did not pass through VcpuWake/VcpuBlock.
+  MarkAllAwake();
 
-  reservations_.clear();
+  std::ranges::fill(reservations_, std::nullopt);
+  layout_order_.clear();
   uint32_t n_res = r.U32();
   for (uint32_t i = 0; i < n_res && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
-    Vcpu* v = lookup(gid);
+    Vcpu* v = VcpuAt(gid);
     if (v == nullptr) {
       return "dpwrap: reservation[" + std::to_string(i) +
              "] references unknown VCPU global id " + std::to_string(gid);
     }
-    Reservation res;
+    if (!reservations_[gid]) {
+      layout_order_.push_back(gid);
+    }
+    Reservation& res = reservations_[gid].emplace();
     res.vcpu = v;
     res.bw = Bandwidth::FromPpb(r.I64());
     res.period = r.I64();
@@ -1061,24 +1120,23 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     res.tax_factor = r.F64();
     res.last_lie_publish = r.I64();
     res.last_floor_publish = r.I64();
-    reservations_[v] = res;
   }
+  std::ranges::sort(layout_order_, {}, [this](int id) { return reservations_[id]->order; });
 
-  pending_affinity_.clear();
+  std::ranges::fill(pending_affinity_, std::nullopt);
   uint32_t n_pins = r.U32();
   for (uint32_t i = 0; i < n_pins && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
     int pin = static_cast<int>(r.U32());
-    Vcpu* v = lookup(gid);
-    if (v == nullptr) {
+    if (VcpuAt(gid) == nullptr) {
       return "dpwrap: pending affinity references unknown VCPU " + std::to_string(gid);
     }
-    pending_affinity_[v] = pin;
+    pending_affinity_[gid] = pin;
   }
 
-  auto load_segment = [&r, &lookup](PlanSegment* seg) -> bool {
+  auto load_segment = [this, &r](PlanSegment* seg) -> bool {
     int gid = static_cast<int>(r.U32());
-    seg->vcpu = lookup(gid);
+    seg->vcpu = VcpuAt(gid);
     seg->pcpu = static_cast<int>(r.U32());
     seg->start = r.I64();
     seg->end = r.I64();
@@ -1099,16 +1157,17 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
       plan.push_back(seg);
     }
   }
-  vcpu_segments_.clear();
+  for (auto& segs : vcpu_segments_) {
+    segs.clear();
+  }
   uint32_t n_vseg = r.U32();
   for (uint32_t i = 0; i < n_vseg && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
-    Vcpu* v = lookup(gid);
-    if (v == nullptr) {
+    if (VcpuAt(gid) == nullptr) {
       return "dpwrap: segment map references unknown VCPU " + std::to_string(gid);
     }
     uint32_t n_segs = r.U32();
-    std::vector<PlanSegment>& segs = vcpu_segments_[v];
+    std::vector<PlanSegment>& segs = vcpu_segments_[gid];
     for (uint32_t k = 0; k < n_segs && r.ok(); ++k) {
       PlanSegment seg;
       if (!load_segment(&seg)) {
@@ -1127,14 +1186,17 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     held_demand_.push_back(h);
   }
 
-  trust_.clear();
+  std::ranges::fill(trust_, std::nullopt);
+  if (machine_ != nullptr && trust_.size() < static_cast<size_t>(machine_->num_vms())) {
+    trust_.resize(machine_->num_vms());
+  }
   uint32_t n_trust = r.U32();
   for (uint32_t i = 0; i < n_trust && r.ok(); ++i) {
     int vm_id = static_cast<int>(r.U32());
     if (machine_ == nullptr || vm_id < 0 || vm_id >= machine_->num_vms()) {
       return "dpwrap: trust entry references unknown VM " + std::to_string(vm_id);
     }
-    VmTrust t;
+    VmTrust& t = trust_[vm_id].emplace();
     t.tokens = r.F64();
     t.token_time = r.I64();
     t.bucket_init = r.Bool();
@@ -1147,7 +1209,6 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     t.quarantined = r.Bool();
     t.clean_scans = static_cast<int>(r.U32());
     t.violated_since_scan = r.Bool();
-    trust_[machine_->vm(vm_id)] = t;
   }
   return r.ok() ? "" : "dpwrap: truncated section";
 }
@@ -1208,8 +1269,8 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
 
   // Bookkeeping: the cached total must equal the sum of the reservations.
   Bandwidth sum;
-  for (const auto& [v, res] : reservations_) {
-    sum += res.bw;
+  for (int id : layout_order_) {
+    sum += reservations_[id]->bw;
   }
   if (sum != total_) {
     std::snprintf(buf, sizeof(buf),
@@ -1274,12 +1335,13 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
 
   // Carry bounds: non-negative, and at most one period of backlog plus the
   // slack a deferred early replan may add (bounded by min_global_slice).
-  for (const auto& [v, res] : reservations_) {
+  for (int id : layout_order_) {
+    const Reservation& res = *reservations_[id];
     __int128 carry_max = static_cast<__int128>(res.bw.ppb()) *
                          (res.period + config_.min_global_slice);
     if (res.carry_ppb < 0 || static_cast<__int128>(res.carry_ppb) > carry_max) {
       std::snprintf(buf, sizeof(buf), "vcpu %d carry %lld ppb*ns out of bounds [0, bw*period]",
-                    v->index(), static_cast<long long>(res.carry_ppb));
+                    res.vcpu->index(), static_cast<long long>(res.carry_ppb));
       violations.emplace_back(buf);
     }
   }
@@ -1311,13 +1373,9 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
   // Per-VCPU supply: the slice allocation cannot exceed the reservation's
   // fluid share of the slice plus one period of carry backlog (+1 ns of
   // rounding).
-  for (const auto& [v, segs] : vcpu_segments_) {
-    auto it = reservations_.find(v);
-    if (it == reservations_.end()) {
-      // A reservation released mid-slice keeps its planned segments until
-      // the next replan; nothing to bound it against.
-      continue;
-    }
+  for (int id : layout_order_) {
+    const Reservation& res = *reservations_[id];
+    const std::vector<PlanSegment>& segs = vcpu_segments_[id];
     TimeNs alloc = 0;
     for (const PlanSegment& s : segs) {
       TimeNs len = s.end - s.start;
@@ -1331,11 +1389,11 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
       }
       alloc += len;
     }
-    TimeNs bound = it->second.EffectiveBw().SliceOfCeil(slice_len + it->second.period) + 1;
+    TimeNs bound = res.EffectiveBw().SliceOfCeil(slice_len + res.period) + 1;
     if (alloc > bound) {
       std::snprintf(buf, sizeof(buf),
                     "vcpu %d allocated %lld ns in a %lld ns slice, above bound %lld ns",
-                    v->index(), static_cast<long long>(alloc),
+                    res.vcpu->index(), static_cast<long long>(alloc),
                     static_cast<long long>(slice_len), static_cast<long long>(bound));
       violations.emplace_back(buf);
     }
@@ -1364,18 +1422,17 @@ std::vector<std::string> DpWrapScheduler::AuditIsolation() const {
   // tolerance covers the per-reservation carry trimming (< 1 ns each) plus
   // the floor division of SliceOf.
   TimeNs slice_len = slice_end_ - slice_start_;
-  TimeNs tolerance = static_cast<TimeNs>(reservations_.size()) + 1;
+  TimeNs tolerance = static_cast<TimeNs>(layout_order_.size()) + 1;
   char buf[256];
-  for (const auto& [v, res] : reservations_) {
+  for (int id : layout_order_) {
+    const Reservation& res = *reservations_[id];
+    const Vcpu* v = res.vcpu;
     if (v->vm()->crashed() || Quarantined(v->vm())) {
       continue;
     }
     TimeNs alloc = 0;
-    auto segs = vcpu_segments_.find(v);
-    if (segs != vcpu_segments_.end()) {
-      for (const PlanSegment& s : segs->second) {
-        alloc += s.end - s.start;
-      }
+    for (const PlanSegment& s : vcpu_segments_[id]) {
+      alloc += s.end - s.start;
     }
     TimeNs bound = res.EffectiveBw().SliceOf(slice_len);
     if (alloc + tolerance < bound) {

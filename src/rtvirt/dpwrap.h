@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
@@ -23,6 +23,7 @@
 #include "src/common/time.h"
 #include "src/hv/host_scheduler.h"
 #include "src/metrics/resilience.h"
+#include "src/rtvirt/wrap_layout.h"
 #include "src/sim/simulator.h"
 
 namespace rtvirt {
@@ -208,15 +209,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   bool Quarantined(const Vm* vm) const;
   bool pressure() const { return pressure_; }
 
-  // Auditor access: visits every reservation's owner, raw bandwidth, and
-  // period (iteration order is unspecified).
-  template <typename Fn>
-  void ForEachReservation(Fn&& fn) const {
-    for (const auto& [v, res] : reservations_) {
-      fn(v, res.bw, res.period);
-    }
-  }
-
   // ---- Checkpoint support (src/checkpoint) ----
   static constexpr const char* kCkptSection = "dpwrap";
   enum CkptEventKind : uint32_t {
@@ -287,7 +279,21 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   void ScheduleReplan();
   void TickleAll();
   Vcpu* PickBestEffort(TimeNs now, Pcpu* pcpu);
+  // First VCPU eligible for best-effort time among the awake positions in
+  // [lo, hi) of all_vcpus_, advancing be_cursor_ past it; nullptr if none.
+  Vcpu* ScanAwake(size_t lo, size_t hi, TimeNs now, Pcpu* pcpu);
   bool HasActiveSegment(const Vcpu* vcpu, TimeNs now) const;
+  // Dense-table lookups; nullptr when `vcpu` holds no reservation.
+  Reservation* FindReservation(const Vcpu* vcpu);
+  const Reservation* FindReservation(const Vcpu* vcpu) const;
+  // Deletes the reservation of VCPU `id` and its layout-order entry.
+  void DropReservation(int id);
+  // The inserted VCPU with global id `gid`; nullptr if there is none.
+  Vcpu* VcpuAt(int gid) const;
+  void SetAwake(size_t pos) { awake_[pos / 64] |= uint64_t{1} << (pos % 64); }
+  void ClearAwake(size_t pos) { awake_[pos / 64] &= ~(uint64_t{1} << (pos % 64)); }
+  // Sets the awake bit of every position: a superset is always safe.
+  void MarkAllAwake();
   int64_t ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs period, bool admit,
                            int64_t reason = kBwReasonNone);
   // Periodic idle-tax accounting: adjusts tax factors from observed usage.
@@ -317,7 +323,7 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
     int clean_scans = 0;
     bool violated_since_scan = false;
   };
-  VmTrust& TrustOf(const Vm* vm) { return trust_[vm]; }
+  VmTrust& TrustOf(const Vm* vm);
   void RollTrustWindow(VmTrust& t, TimeNs now);
   // Scores one violation; crossing the threshold quarantines immediately
   // (containment latency is the whole point) and schedules a replan so the
@@ -332,16 +338,35 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
   DpWrapConfig config_;
   Bandwidth capacity_;
-  std::unordered_map<const Vcpu*, Reservation> reservations_;
-  std::unordered_map<const Vcpu*, int> pending_affinity_;  // Pins set pre-reservation.
-  std::vector<Vcpu*> all_vcpus_;
+  // Per-VCPU tables, indexed by Vcpu::global_id() (dense from 0 on one
+  // machine) and grown in VcpuInserted. Iterating them visits VCPUs in id
+  // order, which is also the checkpoint order.
+  std::vector<std::optional<Reservation>> reservations_;
+  std::vector<std::optional<int>> pending_affinity_;  // Pins set pre-reservation.
+  // The current slice's segments per VCPU; cleared (capacity kept) by Replan.
+  std::vector<std::vector<PlanSegment>> vcpu_segments_;
+  std::vector<int> position_;  // Index into all_vcpus_; -1 when not inserted.
+  // Ids of the reserved VCPUs in ascending Reservation::order (layout order):
+  // appended on admission, erased on release, so Replan never sorts.
+  std::vector<int> layout_order_;
+  std::vector<Vcpu*> all_vcpus_;  // Insertion order: the best-effort round-robin.
+  // Bit p is set when all_vcpus_[p] may be awake. Clear bits are blocked
+  // VCPUs; a set bit may be stale (a superset is always correct), so the
+  // best-effort scan skips only clear bits and clears blocked ones it visits.
+  std::vector<uint64_t> awake_;
   Bandwidth total_;
   uint64_t next_order_ = 0;
 
   TimeNs slice_start_ = 0;
   TimeNs slice_end_ = 0;
-  std::vector<std::vector<PlanSegment>> pcpu_plan_;                   // Per PCPU.
-  std::unordered_map<const Vcpu*, std::vector<PlanSegment>> vcpu_segments_;
+  std::vector<std::vector<PlanSegment>> pcpu_plan_;  // Per PCPU.
+  // Replan working storage, reused so that a steady-state replan allocates
+  // nothing.
+  std::vector<TimeNs> occupied_;
+  std::vector<int64_t> speeds_;
+  std::vector<Reservation*> wrapped_;
+  std::vector<WrapItem> items_;
+  WrapBuffers wrap_buffers_;
   Simulator::EventId replan_event_;
   Simulator::EventId early_replan_event_;
   Simulator::EventId tax_event_;
@@ -365,9 +390,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   };
   std::deque<HeldDemand> held_demand_;
 
-  // Byzantine-guest containment state. Only ever iterated through the
-  // machine's VM index order (TrustTick); map lookups are by pointer.
-  std::unordered_map<const Vm*, VmTrust> trust_;
+  // Byzantine-guest containment state, indexed by Vm::id() and grown in
+  // VcpuInserted. An entry is present once TrustOf first touched that VM.
+  std::vector<std::optional<VmTrust>> trust_;
   Simulator::EventId trust_event_;
 };
 

@@ -1,7 +1,6 @@
 #include "src/rtvirt/guest_channel.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace rtvirt {
@@ -32,19 +31,36 @@ Bandwidth RtvirtGuestChannel::ConservativeBw(Bandwidth rta_bw, TimeNs period) co
   return std::min(padded, Bandwidth::One());
 }
 
+RtvirtGuestChannel::VcpuState& RtvirtGuestChannel::StateOf(const Vcpu* vcpu) {
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  if (id >= state_.size()) {
+    state_.resize(id + 1);
+  }
+  std::optional<VcpuState>& st = state_[id];
+  if (!st) {
+    st.emplace();
+  }
+  return *st;
+}
+
+const RtvirtGuestChannel::VcpuState* RtvirtGuestChannel::FindState(const Vcpu* vcpu) const {
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  return id < state_.size() && state_[id] ? &*state_[id] : nullptr;
+}
+
 bool RtvirtGuestChannel::degraded(const Vcpu* vcpu) const {
-  auto it = state_.find(vcpu);
-  return it != state_.end() && it->second.degraded;
+  const VcpuState* st = FindState(vcpu);
+  return st != nullptr && st->degraded;
 }
 
 Bandwidth RtvirtGuestChannel::GrantedBw(const Vcpu* vcpu) const {
-  auto it = state_.find(vcpu);
-  return it != state_.end() ? it->second.granted : Bandwidth::Zero();
+  const VcpuState* st = FindState(vcpu);
+  return st != nullptr ? st->granted : Bandwidth::Zero();
 }
 
 TimeNs RtvirtGuestChannel::GrantedPeriod(const Vcpu* vcpu) const {
-  auto it = state_.find(vcpu);
-  return it != state_.end() ? it->second.granted_period : 0;
+  const VcpuState* st = FindState(vcpu);
+  return st != nullptr ? st->granted_period : 0;
 }
 
 int64_t RtvirtGuestChannel::TryHypercall(Vcpu* caller, const HypercallArgs& args) {
@@ -113,11 +129,10 @@ void RtvirtGuestChannel::RepairTick(Vcpu* vcpu, uint64_t generation) {
   if (generation != (generation_ & 0xffffffffull)) {
     return;  // Scheduled before a Reset(): the state it targeted is gone.
   }
-  auto it = state_.find(vcpu);
-  if (it == state_.end() || !it->second.degraded) {
+  if (!degraded(vcpu)) {
     return;
   }
-  VcpuState& st = it->second;
+  VcpuState& st = StateOf(vcpu);
   st.repair_scheduled = false;
   ++stats_.repair_attempts;
 
@@ -275,17 +290,14 @@ void RtvirtGuestChannel::Reset() {
 void RtvirtGuestChannel::SaveState(ckpt::Writer& w) const {
   w.U64(generation_);
   w.Counters(stats_);
-  std::vector<std::pair<const Vcpu*, const VcpuState*>> sorted;
-  sorted.reserve(state_.size());
-  for (const auto& [v, st] : state_) {
-    sorted.push_back({v, &st});
-  }
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    return a.first->global_id() < b.first->global_id();
-  });
-  w.U32(static_cast<uint32_t>(sorted.size()));
-  for (const auto& [v, st] : sorted) {
-    w.U32(static_cast<uint32_t>(v->global_id()));
+  w.U32(static_cast<uint32_t>(std::ranges::count_if(
+      state_, [](const std::optional<VcpuState>& st) { return st.has_value(); })));
+  for (size_t gid = 0; gid < state_.size(); ++gid) {
+    const std::optional<VcpuState>& st = state_[gid];
+    if (!st) {
+      continue;
+    }
+    w.U32(static_cast<uint32_t>(gid));
     w.I64(st->rta_bw.ppb());
     w.I64(st->rta_period);
     w.I64(st->granted.ppb());
@@ -311,7 +323,8 @@ std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
       return ckpt_section_ + ": entry[" + std::to_string(i) +
              "] references unknown VCPU global id " + std::to_string(gid);
     }
-    VcpuState st;
+    VcpuState& st = StateOf(v);
+    st = VcpuState{};
     st.rta_bw = Bandwidth::FromPpb(r.I64());
     st.rta_period = r.I64();
     st.granted = Bandwidth::FromPpb(r.I64());
@@ -322,7 +335,6 @@ std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
     st.cached_deadline = r.I64();
     st.repair_backoff = r.I64();
     st.repair_scheduled = r.Bool();
-    state_[v] = st;
   }
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }

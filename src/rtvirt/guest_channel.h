@@ -21,8 +21,9 @@
 #define SRC_RTVIRT_GUEST_CHANNEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/bandwidth.h"
@@ -128,12 +129,16 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   void EnterDegraded(VcpuState& st, Vcpu* vcpu);
   void ScheduleRepair(VcpuState& st, Vcpu* vcpu);
   void RepairTick(Vcpu* vcpu, uint64_t generation);
-  VcpuState& StateOf(Vcpu* vcpu) { return state_[vcpu]; }
+  // Creates the entry on first use.
+  VcpuState& StateOf(const Vcpu* vcpu);
+  // The entry, or nullptr if the channel never spoke for `vcpu`.
+  const VcpuState* FindState(const Vcpu* vcpu) const;
 
   Machine* machine_;
   GuestChannelOptions options_;
   std::string ckpt_section_;
-  std::unordered_map<const Vcpu*, VcpuState> state_;
+  // Indexed by Vcpu::global_id(); an entry is present once StateOf created it.
+  std::vector<std::optional<VcpuState>> state_;
   ChannelStats stats_;
   // Bumped by Reset(): pending repair events from before a VM crash are
   // recognized as stale and ignored.

@@ -30,28 +30,26 @@ std::vector<WrapSegment> WrapAround(std::span<const WrapItem> items, TimeNs slic
   return segments;
 }
 
-std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len,
-                                        std::span<const TimeNs> occupied) {
+void WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len,
+                    std::span<const TimeNs> occupied, WrapBuffers& buf) {
   assert(slice_len > 0);
   int pcpus = static_cast<int>(occupied.size());
-  std::vector<TimeNs> fill(occupied.begin(), occupied.end());
-  std::vector<WrapSegment> segments;
-  segments.reserve(items.size() + pcpus);
+  std::vector<TimeNs>& fill = buf.fill;
+  std::vector<WrapSegment>& segments = buf.segments;
+  std::vector<WrapItem>& leftovers = buf.leftovers;
+  fill.assign(occupied.begin(), occupied.end());
+  segments.clear();
+  leftovers.clear();
 
   // First pass: wrap greedily, refusing straddles whose two pieces would
   // overlap in wall-clock time (the item would run on two PCPUs at once).
-  struct Leftover {
-    int id;
-    TimeNs alloc;
-  };
-  std::vector<Leftover> leftovers;
   int chunk = 0;
   for (const WrapItem& item : items) {
     TimeNs remaining = item.alloc;
     while (remaining > 0) {
       if (chunk >= pcpus) {
         // Fragmentation from skipped straddles: defer to the second pass.
-        leftovers.push_back(Leftover{item.id, remaining});
+        leftovers.push_back(WrapItem{item.id, remaining});
         break;
       }
       TimeNs free_here = slice_len - fill[chunk];
@@ -84,7 +82,7 @@ std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs 
   // place what is left into any remaining gaps, even if a piece overlaps a
   // sibling piece in time — the dispatcher serializes such pieces at
   // runtime, so this degrades (bounded) rather than drops the allocation.
-  for (const Leftover& left : leftovers) {
+  for (const WrapItem& left : leftovers) {
     TimeNs remaining = left.alloc;
     for (int k = 0; k < pcpus && remaining > 0; ++k) {
       TimeNs free_here = slice_len - fill[k];
@@ -98,18 +96,20 @@ std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs 
     }
     assert(remaining == 0 && "allocations exceed the free space");
   }
-  return segments;
 }
 
-std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
-                                            std::span<const TimeNs> occupied,
-                                            std::span<const int64_t> speed_ppb) {
+void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
+                        std::span<const TimeNs> occupied, std::span<const int64_t> speed_ppb,
+                        WrapBuffers& buf) {
   assert(slice_len > 0);
   assert(occupied.size() == speed_ppb.size());
   int pcpus = static_cast<int>(occupied.size());
-  std::vector<TimeNs> fill(occupied.begin(), occupied.end());
-  std::vector<WrapSegment> segments;
-  segments.reserve(items.size() + pcpus);
+  std::vector<TimeNs>& fill = buf.fill;
+  std::vector<WrapSegment>& segments = buf.segments;
+  std::vector<WrapItem>& leftovers = buf.leftovers;  // Allocations in effective ns.
+  fill.assign(occupied.begin(), occupied.end());
+  segments.clear();
+  leftovers.clear();
 
   // Effective capacity left on chunk k, floored: flooring under-counts by
   // < 1 effective ns, so a piece sized from it always fits back in wall time
@@ -123,17 +123,12 @@ std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, Tim
 
   // First pass mirrors WrapAroundFrom, walking in effective ns and emitting
   // in wall ns; straddles whose wall-clock pieces would overlap are deferred.
-  struct Leftover {
-    int id;
-    TimeNs alloc;  // Effective ns.
-  };
-  std::vector<Leftover> leftovers;
   int chunk = 0;
   for (const WrapItem& item : items) {
     TimeNs remaining = item.alloc;
     while (remaining > 0) {
       if (chunk >= pcpus) {
-        leftovers.push_back(Leftover{item.id, remaining});
+        leftovers.push_back(WrapItem{item.id, remaining});
         break;
       }
       TimeNs free_here = eff_free(chunk);
@@ -169,7 +164,7 @@ std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, Tim
   // homogeneous variant nothing is asserted away to zero: per-chunk floor
   // rounding can strand < 1 effective ns per visit, which the planner's
   // admission epsilon covers.
-  for (const Leftover& left : leftovers) {
+  for (const WrapItem& left : leftovers) {
     TimeNs remaining = left.alloc;
     for (int k = 0; k < pcpus && remaining > 0; ++k) {
       TimeNs free_here = eff_free(k);
@@ -185,7 +180,6 @@ std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, Tim
     assert(remaining <= 2 * static_cast<TimeNs>(pcpus) + 2 &&
            "stranded allocation beyond rounding slack");
   }
-  return segments;
 }
 
 }  // namespace rtvirt

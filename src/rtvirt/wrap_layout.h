@@ -27,6 +27,17 @@ struct WrapSegment {
   int pcpu = 0;
   TimeNs start = 0;  // Offset within the slice, [0, slice_len).
   TimeNs end = 0;    // Offset within the slice, (start, slice_len].
+
+  bool operator==(const WrapSegment&) const = default;
+};
+
+// Caller-owned storage for WrapAroundFrom / WrapAroundDegraded. Each call
+// overwrites all three vectors, so one instance reused across calls keeps its
+// capacity and a steady-state layout allocates nothing.
+struct WrapBuffers {
+  std::vector<WrapSegment> segments;  // The result.
+  std::vector<TimeNs> fill;           // Per-chunk fill level (working state).
+  std::vector<WrapItem> leftovers;    // Deferred remainders (working state).
 };
 
 // Lays `items` out over `pcpus` chunks of `slice_len`. Items with zero
@@ -43,16 +54,16 @@ std::vector<WrapSegment> WrapAround(std::span<const WrapItem> items, TimeNs slic
 
 // Like WrapAround, but chunk k is already occupied up to `occupied[k]`
 // (e.g., by affinity-pinned allocations that must not migrate): wrapped
-// items are laid out in the remaining space only. Precondition: sum of
-// allocations <= sum of free space.
-std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len,
-                                        std::span<const TimeNs> occupied);
+// items are laid out in the remaining space only, into `buf.segments`.
+// Precondition: sum of allocations <= sum of free space.
+void WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len,
+                    std::span<const TimeNs> occupied, WrapBuffers& buf);
 
 // Heterogeneous-capacity variant for the PCPU fault/degradation model.
 // Item allocations are in *effective* (full-speed-equivalent) ns; chunk k
 // runs at speed_ppb[k] (Bandwidth::kUnit = full speed, <= 0 = offline — no
-// capacity) and is pre-occupied up to occupied[k] wall-clock ns. Returned
-// segments are wall-clock offsets within the slice: a piece of E effective
+// capacity) and is pre-occupied up to occupied[k] wall-clock ns. The
+// segments written to `buf.segments` are wall-clock offsets within the slice: a piece of E effective
 // ns on a chunk at speed s occupies ceil(E/s) wall ns there. Precondition:
 // sum of allocations <= sum of per-chunk effective free space (the caller
 // trims against Machine::EffectiveCapacity()); per-chunk floor rounding may
@@ -61,9 +72,9 @@ std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs 
 // best-effort here: an item wider than any surviving chunk's effective
 // capacity must overlap itself in wall-clock time, and the dispatcher
 // serializes such pieces at runtime (bounded lag, nothing dropped).
-std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
-                                            std::span<const TimeNs> occupied,
-                                            std::span<const int64_t> speed_ppb);
+void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
+                        std::span<const TimeNs> occupied, std::span<const int64_t> speed_ppb,
+                        WrapBuffers& buf);
 
 }  // namespace rtvirt
 

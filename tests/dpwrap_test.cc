@@ -9,6 +9,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/checkpoint/checkpoint.h"
+#include "src/common/rng.h"
 #include "src/metrics/deadline_monitor.h"
 #include "src/runner/experiment.h"
 #include "src/workloads/periodic.h"
@@ -187,6 +189,114 @@ TEST(DpWrap, SporadicWakeReplansPromptly) {
   EXPECT_EQ(mon.total_misses(), 0u);
   // With replan-on-wake the response is far below the period.
   EXPECT_LT(mon.response_times_us().Max(), 5000.0);
+}
+
+// A bare machine under DP-WRAP with best-effort VCPUs only, driven without
+// running the simulator: wakes, blocks and picks are issued directly.
+struct BestEffortRig {
+  explicit BestEffortRig(int vcpus) : machine(&sim, ZeroCostMachine(3)) {
+    auto sched = std::make_unique<DpWrapScheduler>();
+    dpwrap = sched.get();
+    machine.SetScheduler(std::move(sched));
+    vm = machine.AddVm("be");
+    for (int i = 0; i < vcpus; ++i) {
+      vm->AddVcpu();
+    }
+  }
+  Vcpu* Pick(int pcpu) { return dpwrap->PickNext(machine.pcpu(pcpu)).next; }
+
+  Simulator sim;
+  Machine machine;
+  DpWrapScheduler* dpwrap = nullptr;
+  Vm* vm = nullptr;
+};
+
+// Test-local oracle: a cyclic scan of every VCPU in insertion order from the
+// cursor, returning the first runnable one (nothing is running here, and
+// without reservations no VCPU owns a segment).
+int OraclePick(const Vm* vm, size_t& cursor) {
+  size_t n = static_cast<size_t>(vm->num_vcpus());
+  for (size_t i = 0; i < n; ++i) {
+    size_t pos = (cursor + i) % n;
+    if (vm->vcpu(static_cast<int>(pos))->runnable()) {
+      cursor = (pos + 1) % n;
+      return static_cast<int>(pos);
+    }
+  }
+  return -1;
+}
+
+// One random operation: 40% wake, 20% block, 40% pick on a random PCPU.
+struct Step {
+  int op = 0;
+  int vcpu = 0;
+  int pcpu = 0;
+  bool pick() const { return op >= 6; }
+};
+
+Step DrawStep(Rng& rng, int vcpus) {
+  Step st;
+  st.op = static_cast<int>(rng.UniformInt(0, 9));
+  st.vcpu = static_cast<int>(rng.UniformInt(0, vcpus - 1));
+  st.pcpu = static_cast<int>(rng.UniformInt(0, 2));
+  return st;
+}
+
+// Applies `st` to `rig`; a pick returns the chosen VCPU's index (-1: none).
+int Apply(BestEffortRig& rig, const Step& st) {
+  Vcpu* v = rig.vm->vcpu(st.vcpu);
+  if (st.op < 4) {
+    v->Wake();
+  } else if (!st.pick()) {
+    v->Block();
+  } else {
+    Vcpu* picked = rig.Pick(st.pcpu);
+    return picked == nullptr ? -1 : picked->index();
+  }
+  return -2;
+}
+
+TEST(DpWrap, BestEffortPickIsRoundRobinOverAwakeVcpus) {
+  // 70 VCPUs: the awake mask spans two 64-bit words.
+  BestEffortRig rig(70);
+  Rng rng(20180423);
+  size_t cursor = 0;
+  int picks = 0;
+  int found = 0;
+  auto run = [&](int steps, BestEffortRig* twin) {
+    for (int i = 0; i < steps; ++i) {
+      Step st = DrawStep(rng, rig.vm->num_vcpus());
+      int expected = st.pick() ? OraclePick(rig.vm, cursor) : -2;
+      ASSERT_EQ(Apply(rig, st), expected) << "step " << i;
+      if (twin != nullptr) {
+        ASSERT_EQ(Apply(*twin, st), expected) << "twin, step " << i;
+      }
+      picks += st.pick() ? 1 : 0;
+      found += expected >= 0 ? 1 : 0;
+    }
+  };
+  run(2000, nullptr);
+  // Hotplug: a VCPU added mid-run (blocked) joins the round-robin at the end.
+  rig.vm->AddVcpu();
+  run(2000, nullptr);
+
+  // Save both layers and restore them into a fresh twin, whose VCPU states
+  // are set by the machine restore without passing through VcpuWake; the
+  // twin must continue exactly like the original.
+  ckpt::Writer machine_image;
+  ckpt::Writer dpwrap_image;
+  rig.machine.SaveState(machine_image);
+  rig.dpwrap->SaveState(dpwrap_image);
+  BestEffortRig twin(71);
+  ckpt::Reader machine_reader(machine_image.data());
+  ckpt::Reader dpwrap_reader(dpwrap_image.data());
+  ASSERT_EQ(twin.machine.RestoreState(machine_reader), "");
+  ASSERT_EQ(twin.dpwrap->RestoreState(dpwrap_reader), "");
+  run(2000, &twin);
+
+  // The scan both found VCPUs and came up empty along the way.
+  EXPECT_GT(found, 0);
+  EXPECT_LT(found, picks);
 }
 
 // DP-WRAP optimality: random task sets with total utilization <= m always

@@ -37,6 +37,36 @@ RtaParams P(TimeNs slice, TimeNs period, bool sporadic = false) {
   return RtaParams{slice, period, sporadic};
 }
 
+TEST(JobQueue, FifoAcrossWrapAndCompaction) {
+  JobQueue q;
+  std::vector<TimeNs> expected;
+  TimeNs next = 0;
+  // Keep between one and three jobs queued for many rounds: popping advances
+  // the head, and pushes that reach capacity slide the live jobs down.
+  for (int round = 0; round < 100; ++round) {
+    while (q.size() < 3) {
+      q.push_back(Job{next, next, 1, 1});
+      expected.push_back(next++);
+    }
+    q.pop_front();
+    q.pop_front();
+    expected.erase(expected.begin(), expected.begin() + 2);
+    ASSERT_EQ(q.size(), expected.size());
+    ASSERT_EQ(q.front().release, expected.front());
+    std::vector<TimeNs> seen;
+    for (const Job& j : q) {
+      seen.push_back(j.release);
+    }
+    ASSERT_EQ(seen, expected);
+  }
+  q.pop_front();
+  EXPECT_TRUE(q.empty());
+  q.push_back(Job{7, 7, 1, 1});
+  EXPECT_EQ(q.front().release, 7);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(GuestAdmission, RejectsInvalidParams) {
   GuestRig rig(1);
   Task* t = rig.guest->CreateTask("t");
