@@ -16,12 +16,17 @@
 //     global slices) measuring wall-clock ns per DP-WRAP replan. The whole
 //     window (replans, picks, guest pEDF, job releases) must allocate
 //     nothing (hard assert).
+//   * server_edf — the Table 6 Single-RTA shape under RT-Xen (the 92
+//     CARTS/DMPR-admitted single-RTA VMs as deferrable servers, 1 ms
+//     quantum-driven gEDF on 15 PCPUs), measuring wall-clock ns per host
+//     pick. The whole window (picks, quantum ticks, replenishments, guest
+//     pEDF, job releases) must allocate nothing (hard assert).
 //   * tab6_sim.calendar — the full single-RTA-VMs experiment at reduced
 //     duration, measuring end-to-end simulated events/sec + peak RSS.
 //
 // Flags: --out=PATH (default BENCH_perf_suite.json), --scale=F (work
 // multiplier for quick local runs; the committed baseline uses 1.0).
-// Exits nonzero if either zero-alloc steady-state assertion fails.
+// Exits nonzero if any zero-alloc steady-state assertion fails.
 
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/perf/alloc_hooks.h"
 #include "src/perf/perf_recorder.h"
 #include "src/perf/perf_report.h"
@@ -191,6 +197,45 @@ PhaseResult RunReplan(PerfRecorder& rec, int iters) {
   return rec.End(replans);
 }
 
+// Table 6 Single-RTA VMs under RT-Xen, admitted as tab6_scalability does:
+// a VM joins while DMPR still packs every CARTS interface onto 15 PCPUs.
+PhaseResult RunServerEdf(PerfRecorder& rec, int iters) {
+  ExperimentConfig cfg;
+  cfg.framework = Framework::kRtXen;
+  cfg.machine.num_pcpus = 15;
+  cfg.server_edf.quantum = Ms(1);
+  Experiment exp(cfg);
+  std::vector<std::unique_ptr<PeriodicRta>> rtas;
+  std::vector<PeriodicResource> interfaces;
+  for (int copy = 0; copy < 10; ++copy) {
+    for (const RtaParams& params : kTable5Groups) {
+      PeriodicResource iface = bench::CartsInterface({params});
+      interfaces.push_back(iface);
+      if (DmprPack(interfaces).claimed_cpus > 15) {
+        interfaces.pop_back();
+        continue;
+      }
+      GuestOs* g = exp.AddGuest("vm" + std::to_string(rtas.size()), 1);
+      exp.SetVcpuServer(g->vm()->vcpu(0), ServerParams{iface.budget, iface.period});
+      g->SetVcpuCapacity(0, iface.bandwidth());
+      rtas.push_back(std::make_unique<PeriodicRta>(g, "rta", params));
+      rtas.back()->Start(0, Sec(100000));
+    }
+  }
+  exp.Run(Ms(100));
+  uint64_t picks_before = exp.machine().overhead().schedule_calls;
+  TimeNs t = Ms(100);
+  rec.Begin("server_edf");
+  for (int k = 0; k < iters; ++k) {
+    t += Ms(1);
+    exp.Run(t);
+  }
+  uint64_t picks = exp.machine().overhead().schedule_calls - picks_before;
+  rec.Count("servers", static_cast<double>(rtas.size()));
+  rec.Count("picks", static_cast<double>(picks));
+  return rec.End(picks);
+}
+
 // The Table 6 single-RTA-VMs scenario end to end (100 VMs, RTVirt), at a
 // CI-friendly duration. Ops = simulator events processed.
 PhaseResult RunTab6Sim(PerfRecorder& rec, TimeNs duration) {
@@ -241,12 +286,13 @@ int Run(int argc, char** argv) {
 
   auto scaled = [scale](uint64_t n) { return static_cast<uint64_t>(static_cast<double>(n) * scale); };
   PerfRecorder rec;
-  std::printf("perf_suite: event-core + DP-WRAP measurement (scale %.2f)\n", scale);
+  std::printf("perf_suite: event-core + host-scheduler measurement (scale %.2f)\n", scale);
 
   PhaseResult shape = RunTab6Shape(rec, scaled(400000));
   PhaseResult churn = RunCancelChurn(rec, scaled(2000000));
   PhaseResult sched = RunSchedOp(rec, scaled(2000000));
   PhaseResult replan = RunReplan(rec, static_cast<int>(scaled(300)));
+  PhaseResult server_edf = RunServerEdf(rec, static_cast<int>(scaled(1000)));
   PhaseResult sim = RunTab6Sim(rec, Sec(2));
   uint64_t peak_rss = perf::PeakRssKb();
 
@@ -264,7 +310,9 @@ int Run(int argc, char** argv) {
     std::string key = "ns_per_pop.n" + std::to_string(timers);
     std::printf("    n=%-6d %7.1f ns/pop\n", timers, shape.counters.at(key));
   }
-  std::printf("  replan: %.0f ns/replan; tab6_sim: %.0f ev/s; peak RSS %llu KiB\n", replan_ns,
+  std::printf("  replan: %.0f ns/replan; server_edf: %.0f ns/pick over %.0f servers; "
+              "tab6_sim: %.0f ev/s; peak RSS %llu KiB\n",
+              replan_ns, server_edf.NsPerOp(), server_edf.counters.at("servers"),
               sim.OpsPerSec(), static_cast<unsigned long long>(peak_rss));
 
   PerfReport report;
@@ -282,6 +330,8 @@ int Run(int argc, char** argv) {
   report.Add("sched_op.calendar.ns_per_op", sched.NsPerOp(), "ns", false, 0.40);
   report.Add("replan.ns_per_replan", replan_ns, "ns", false, 0.50);
   report.Add("replan.steady_allocs_per_replan", replan.AllocsPerOp(), "allocs/op", false, 0.0);
+  report.Add("server_edf.steady_allocs_per_pick", server_edf.AllocsPerOp(), "allocs/op", false,
+             0.0);
   report.Add("tab6_sim.events_per_sec", sim.OpsPerSec(), "events/s", true, 0.50);
   report.Add("peak_rss_kb", static_cast<double>(peak_rss), "KiB", false, 0.75);
   if (!report.WriteFile(out_path)) {
@@ -293,7 +343,7 @@ int Run(int argc, char** argv) {
   // The zero-alloc steady states are invariants, not perf numbers: fail the
   // run outright if a measured window allocated at all.
   int rc = 0;
-  for (const PhaseResult* p : {&shape, &replan}) {
+  for (const PhaseResult* p : {&shape, &replan, &server_edf}) {
     if (p->allocs != 0) {
       std::fprintf(stderr,
                    "perf_suite: FAIL — %s steady state performed %llu allocations "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/check.h"
 #include "src/hv/machine.h"
 
 namespace rtvirt {
@@ -27,22 +28,32 @@ void CreditScheduler::OnEvent(uint32_t kind, uint64_t payload) {
   }
 }
 
+CreditScheduler::CreditState* CreditScheduler::Find(const Vcpu* vcpu) {
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  return id < states_.size() && states_[id].vcpu != nullptr ? &states_[id] : nullptr;
+}
+
 void CreditScheduler::VcpuInserted(Vcpu* vcpu) {
-  all_vcpus_.push_back(vcpu);
-  CreditState st;
-  st.vcpu = vcpu;
-  states_[vcpu] = st;
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  if (id >= states_.size()) {
+    states_.resize(id + 1);
+  }
+  states_[id] = CreditState{};
+  states_[id].vcpu = vcpu;
 }
 
 void CreditScheduler::VcpuRemoved(Vcpu* vcpu) {
-  all_vcpus_.erase(std::remove(all_vcpus_.begin(), all_vcpus_.end(), vcpu), all_vcpus_.end());
-  states_.erase(vcpu);
+  if (CreditState* st = Find(vcpu)) {
+    *st = CreditState{};
+  }
 }
 
 int CreditScheduler::TotalWeight() const {
   int total = 0;
-  for (const Vcpu* v : all_vcpus_) {
-    total += v->vm()->weight();
+  for (const CreditState& st : states_) {
+    if (st.vcpu != nullptr) {
+      total += st.vcpu->vm()->weight();
+    }
   }
   return total;
 }
@@ -63,7 +74,10 @@ void CreditScheduler::Accounting() {
   }
   TimeNs pool = config_.timeslice * machine_->num_pcpus();
   int total_weight = TotalWeight();
-  for (auto& [v, st] : states_) {
+  for (CreditState& st : states_) {
+    if (st.vcpu == nullptr) {
+      continue;
+    }
     if (total_weight > 0) {
       st.credits += pool * st.vcpu->vm()->weight() / total_weight;
     }
@@ -80,14 +94,18 @@ void CreditScheduler::Accounting() {
   }
 }
 
-void CreditScheduler::SetCap(Vcpu* vcpu, Bandwidth cap) { states_[vcpu].cap = cap; }
+void CreditScheduler::SetCap(Vcpu* vcpu, Bandwidth cap) {
+  CreditState* st = Find(vcpu);
+  RTVIRT_CHECK(st != nullptr, "credit: SetCap on %s, which is not inserted", vcpu->name().c_str());
+  st->cap = cap;
+}
 
 void CreditScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
-  auto it = states_.find(vcpu);
-  if (it == states_.end()) {
+  CreditState* found = Find(vcpu);
+  if (found == nullptr) {
     return;
   }
-  CreditState& st = it->second;
+  CreditState& st = *found;
   st.credits -= ran;
   st.window_consumed += ran;
   if (st.cap > Bandwidth::Zero() && st.window_consumed >= st.cap.SliceOf(config_.timeslice)) {
@@ -103,7 +121,9 @@ void CreditScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
 }
 
 void CreditScheduler::VcpuWake(Vcpu* vcpu) {
-  CreditState& st = states_[vcpu];
+  CreditState* found = Find(vcpu);
+  RTVIRT_CHECK(found != nullptr, "credit: wake of %s, which is not inserted", vcpu->name().c_str());
+  CreditState& st = *found;
   if (st.credits >= 0) {
     st.priority = Priority::kBoost;  // Boost on wake from idle.
     st.boost_ran = 0;
@@ -120,9 +140,9 @@ void CreditScheduler::VcpuWake(Vcpu* vcpu) {
       p->RequestReschedule();
       return;
     }
-    auto it = states_.find(p->current());
-    if (it != states_.end() && it->second.priority > victim_pri) {
-      victim_pri = it->second.priority;
+    const CreditState* cur = Find(p->current());
+    if (cur != nullptr && cur->priority > victim_pri) {
+      victim_pri = cur->priority;
       victim = p;
     }
   }
@@ -138,15 +158,17 @@ ScheduleDecision CreditScheduler::PickNext(Pcpu* pcpu) {
   Vcpu* cur = pcpu->current();
   if (cur != nullptr && !cur->blocked()) {
     // Honor the ratelimit: do not preempt a VCPU that just started.
-    const CreditState& st = states_[cur];
-    if (!st.capped_out && now < st.dispatched_at + config_.ratelimit) {
-      return ScheduleDecision{cur, st.dispatched_at + config_.ratelimit};
+    const CreditState* st = Find(cur);
+    if (st != nullptr && !st->capped_out && now < st->dispatched_at + config_.ratelimit) {
+      return ScheduleDecision{cur, st->dispatched_at + config_.ratelimit};
     }
   }
   CreditState* best = nullptr;
-  // Insertion order: deterministic round-robin tie-breaking.
-  for (Vcpu* vcpu : all_vcpus_) {
-    CreditState& st = states_[vcpu];
+  // Id (= insertion) order: deterministic round-robin tie-breaking.
+  for (CreditState& st : states_) {
+    if (st.vcpu == nullptr) {
+      continue;
+    }
     bool continuing = st.vcpu->running() && st.vcpu->pcpu() == pcpu;
     if (!st.vcpu->runnable() && !continuing) {
       continue;

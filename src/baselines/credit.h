@@ -17,7 +17,6 @@
 #define SRC_BASELINES_CREDIT_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -65,7 +64,7 @@ class CreditScheduler : public HostScheduler, public EventOwner {
   enum class Priority { kBoost = 0, kUnder = 1, kOver = 2 };
 
   struct CreditState {
-    Vcpu* vcpu = nullptr;
+    Vcpu* vcpu = nullptr;  // nullptr: the slot holds no inserted VCPU.
     TimeNs credits = 0;      // Signed; ns of entitled CPU time.
     TimeNs consumed = 0;     // Since the last accounting.
     Priority priority = Priority::kUnder;
@@ -82,13 +81,17 @@ class CreditScheduler : public HostScheduler, public EventOwner {
     kEvTick = 2,  // Payload = pcpu id.
   };
   void OnEvent(uint32_t kind, uint64_t payload) override;
+  // nullptr for a VCPU that is not inserted.
+  CreditState* Find(const Vcpu* vcpu);
   void Accounting();
   void Tick(int pcpu_id);
   int TotalWeight() const;
 
   CreditConfig config_;
-  std::unordered_map<const Vcpu*, CreditState> states_;
-  std::vector<Vcpu*> all_vcpus_;
+  // Indexed by Vcpu::global_id() and grown in VcpuInserted. Ids are assigned
+  // at creation and the machine inserts each VCPU right after, so iterating
+  // visits VCPUs in insertion order: the round-robin tie-break order.
+  std::vector<CreditState> states_;
   Simulator::EventId accounting_event_;
   int tickle_cursor_ = 0;
   std::vector<Simulator::EventId> tick_events_;

@@ -1,8 +1,10 @@
 #include "src/baselines/server_edf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
+#include "src/common/check.h"
 #include "src/hv/machine.h"
 
 namespace rtvirt {
@@ -25,8 +27,23 @@ void ServerEdfScheduler::OnEvent(uint32_t kind, uint64_t payload) {
   if (kind == kEvQuantumTick) {
     QuantumTick(static_cast<int>(payload));
   } else {
-    Replenish(reinterpret_cast<Vcpu*>(static_cast<uintptr_t>(payload)));
+    Server* s = Find(payload);
+    RTVIRT_CHECK(s != nullptr, "server-gedf: replenishment for VCPU id %llu, which has no server",
+                 static_cast<unsigned long long>(payload));
+    Replenish(*s);
   }
+}
+
+ServerEdfScheduler::Server* ServerEdfScheduler::Find(uint64_t id) {
+  return id < servers_.size() && servers_[id].vcpu != nullptr ? &servers_[id] : nullptr;
+}
+
+ServerEdfScheduler::Server* ServerEdfScheduler::Find(const Vcpu* vcpu) {
+  return Find(static_cast<uint64_t>(vcpu->global_id()));
+}
+
+const ServerEdfScheduler::Server* ServerEdfScheduler::ServerOf(const Vcpu* vcpu) const {
+  return const_cast<ServerEdfScheduler*>(this)->Find(vcpu);
 }
 
 void ServerEdfScheduler::QuantumTick(int pcpu_id) {
@@ -35,51 +52,65 @@ void ServerEdfScheduler::QuantumTick(int pcpu_id) {
       config_.quantum, {this, kEvQuantumTick, static_cast<uint64_t>(pcpu_id)});
 }
 
-void ServerEdfScheduler::VcpuInserted(Vcpu* vcpu) { all_vcpus_.push_back(vcpu); }
+void ServerEdfScheduler::VcpuInserted(Vcpu* vcpu) {
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  if (id >= servers_.size()) {
+    servers_.resize(id + 1);
+    ready_.resize(id / 64 + 1);
+  }
+  all_vcpus_.push_back(vcpu);
+}
 
 void ServerEdfScheduler::VcpuRemoved(Vcpu* vcpu) {
   all_vcpus_.erase(std::remove(all_vcpus_.begin(), all_vcpus_.end(), vcpu), all_vcpus_.end());
-  auto it = servers_.find(vcpu);
-  if (it != servers_.end()) {
-    machine_->sim()->Cancel(it->second.replenish_event);
-    servers_.erase(it);
+  if (Server* s = Find(vcpu)) {
+    machine_->sim()->Cancel(s->replenish_event);
+    *s = Server{};
+    --num_servers_;
+    ClearReady(vcpu->global_id());
   }
 }
 
 void ServerEdfScheduler::SetServer(Vcpu* vcpu, ServerParams params) {
   assert(params.budget > 0 && params.period >= params.budget);
-  Server& s = servers_[vcpu];
+  size_t id = static_cast<size_t>(vcpu->global_id());
+  RTVIRT_CHECK(id < servers_.size(), "server-gedf: SetServer on %s, which was never inserted",
+               vcpu->name().c_str());
+  Server& s = servers_[id];
+  if (s.vcpu == nullptr) {
+    ++num_servers_;
+  }
   machine_->sim()->Cancel(s.replenish_event);
   s.vcpu = vcpu;
   s.params = params;
-  Replenish(vcpu);
+  Replenish(s);
 }
 
-void ServerEdfScheduler::Replenish(Vcpu* vcpu) {
+void ServerEdfScheduler::Replenish(Server& s) {
+  Vcpu* vcpu = s.vcpu;
   // Settle any in-flight consumption first, so it is charged against the
   // old budget and not silently deducted from the fresh one.
   if (vcpu->running()) {
     vcpu->pcpu()->SettleAccounting();
   }
-  Server& s = servers_[vcpu];
   TimeNs now = machine_->sim()->Now();
   // Quantum-driven overruns (negative budget) are repaid here; positive
   // leftovers (deferrable) are preserved but never exceed one budget.
   s.budget = std::min(s.params.budget, s.budget + s.params.budget);
   s.deadline = now + s.params.period;
   s.replenish_event = machine_->sim()->After(
-      s.params.period, {this, kEvReplenish, reinterpret_cast<uintptr_t>(vcpu)});
-  if (vcpu->runnable() || vcpu->running()) {
+      s.params.period, {this, kEvReplenish, static_cast<uint64_t>(vcpu->global_id())});
+  if (!vcpu->blocked()) {
+    SetReady(vcpu->global_id());
     TickleFor(vcpu);
   }
 }
 
 void ServerEdfScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
-  auto it = servers_.find(vcpu);
-  if (it != servers_.end()) {
+  if (Server* s = Find(vcpu)) {
     // May go negative in quantum-driven mode (enforcement lag); the debt is
     // repaid at replenishment.
-    it->second.budget -= ran;
+    s->budget -= ran;
   }
 }
 
@@ -100,11 +131,11 @@ void ServerEdfScheduler::TickleFor(Vcpu* vcpu) {
       p->RequestReschedule();
       return;
     }
-    auto it = servers_.find(cur);
-    if (it == servers_.end()) {
+    const Server* s = Find(cur);
+    if (s == nullptr) {
       best_effort_pcpu = p;
-    } else if (it->second.deadline > latest_deadline) {
-      latest_deadline = it->second.deadline;
+    } else if (s->deadline > latest_deadline) {
+      latest_deadline = s->deadline;
       latest_pcpu = p;
     }
   }
@@ -112,15 +143,18 @@ void ServerEdfScheduler::TickleFor(Vcpu* vcpu) {
     best_effort_pcpu->RequestReschedule();
     return;
   }
-  auto it = servers_.find(vcpu);
-  if (it != servers_.end() && latest_pcpu != nullptr && it->second.deadline < latest_deadline) {
+  const Server* s = Find(vcpu);
+  if (s != nullptr && latest_pcpu != nullptr && s->deadline < latest_deadline) {
     latest_pcpu->RequestReschedule();
   }
 }
 
 void ServerEdfScheduler::VcpuWake(Vcpu* vcpu) {
-  auto it = servers_.find(vcpu);
-  if (it == servers_.end() || it->second.budget > 0) {
+  const Server* s = Find(vcpu);
+  if (s == nullptr) {
+    TickleFor(vcpu);
+  } else if (s->budget > 0) {
+    SetReady(vcpu->global_id());
     TickleFor(vcpu);
   }
 }
@@ -129,9 +163,12 @@ void ServerEdfScheduler::VcpuBlock(Vcpu* vcpu) { (void)vcpu; }
 
 Vcpu* ServerEdfScheduler::PickBestEffort(Pcpu* pcpu) {
   size_t n = all_vcpus_.size();
+  if (num_servers_ == n) {
+    return nullptr;  // Every VCPU has a server: no best-effort work exists.
+  }
   for (size_t i = 0; i < n; ++i) {
     Vcpu* v = all_vcpus_[(be_cursor_ + i) % n];
-    if (servers_.find(v) != servers_.end()) {
+    if (Find(v) != nullptr) {
       continue;  // Depleted servers wait for replenishment (non-work-conserving).
     }
     bool continuing = v->running() && v->pcpu() == pcpu;
@@ -147,24 +184,27 @@ Vcpu* ServerEdfScheduler::PickBestEffort(Pcpu* pcpu) {
 ScheduleDecision ServerEdfScheduler::PickNext(Pcpu* pcpu) {
   TimeNs now = machine_->sim()->Now();
   Server* best = nullptr;
-  // Iterate in VCPU insertion order so EDF tie-breaking is deterministic.
-  for (Vcpu* v : all_vcpus_) {
-    auto it = servers_.find(v);
-    if (it == servers_.end()) {
-      continue;
-    }
-    Server& s = it->second;
-    if (s.budget <= 0) {
-      continue;
-    }
-    bool continuing = s.vcpu->running() && s.vcpu->pcpu() == pcpu;
-    if (!s.vcpu->runnable() && !continuing) {
-      continue;  // Blocked, or running on another PCPU.
-    }
-    // '<=': deadline ties go to the later-inserted server, matching the
-    // paper's Figure 1a schedule (VM3 runs before VM1 at their shared
-    // deadline); EDF permits either order.
-    if (best == nullptr || s.deadline <= best->deadline) {
+  // Visit the ready servers in id (= insertion) order so EDF tie-breaking is
+  // deterministic.
+  for (size_t w = 0; w < ready_.size(); ++w) {
+    for (uint64_t bits = ready_[w]; bits != 0; bits &= bits - 1) {
+      int bit = std::countr_zero(bits);
+      Server& s = servers_[w * 64 + bit];
+      // '<=': deadline ties go to the later-inserted server, matching the
+      // paper's Figure 1a schedule (VM3 runs before VM1 at their shared
+      // deadline); EDF permits either order. A later deadline cannot win,
+      // so skip it before touching the VCPU.
+      if (best != nullptr && s.deadline > best->deadline) {
+        continue;
+      }
+      if (s.budget <= 0 || s.vcpu->blocked()) {
+        ready_[w] &= ~(uint64_t{1} << bit);  // Depleted or blocked: see ready_.
+        continue;
+      }
+      bool continuing = s.vcpu->running() && s.vcpu->pcpu() == pcpu;
+      if (!s.vcpu->runnable() && !continuing) {
+        continue;  // Running on another PCPU.
+      }
       best = &s;
     }
   }

@@ -14,7 +14,6 @@
 #define SRC_BASELINES_SERVER_EDF_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -44,11 +43,21 @@ struct ServerEdfConfig {
 
 class ServerEdfScheduler : public HostScheduler, public EventOwner {
  public:
+  struct Server {
+    Vcpu* vcpu = nullptr;  // nullptr: no server (the slot's VCPU is best-effort).
+    ServerParams params;
+    TimeNs budget = 0;    // Remaining budget in the current period.
+    TimeNs deadline = 0;  // End of the current period (EDF key).
+    Simulator::EventId replenish_event;
+  };
+
   explicit ServerEdfScheduler(ServerEdfConfig config = {});
 
-  // Configures (or reconfigures) a VCPU's server interface. The first period
-  // starts at the current simulation time.
+  // Configures (or reconfigures) an inserted VCPU's server interface. The
+  // first period starts at the current simulation time.
   void SetServer(Vcpu* vcpu, ServerParams params);
+  // The server of `vcpu`, or nullptr when it has none.
+  const Server* ServerOf(const Vcpu* vcpu) const;
 
   std::string_view name() const override { return "server-gedf"; }
   void Attach(Machine* machine) override;
@@ -61,28 +70,37 @@ class ServerEdfScheduler : public HostScheduler, public EventOwner {
   TimeNs ScheduleCost(const Pcpu* pcpu) const override;
 
  private:
-  struct Server {
-    Vcpu* vcpu = nullptr;
-    ServerParams params;
-    TimeNs budget = 0;    // Remaining budget in the current period.
-    TimeNs deadline = 0;  // End of the current period (EDF key).
-    Simulator::EventId replenish_event;
-  };
-
   enum EventKind : uint32_t {
     kEvQuantumTick = 1,  // Payload = pcpu id.
-    kEvReplenish = 2,    // Payload = the Vcpu's address (never checkpointed).
+    kEvReplenish = 2,    // Payload = the VCPU's global id.
   };
   void OnEvent(uint32_t kind, uint64_t payload) override;
-  void Replenish(Vcpu* vcpu);
+  // nullptr for an id out of range or without a server.
+  Server* Find(uint64_t id);
+  Server* Find(const Vcpu* vcpu);
+  void SetReady(int id) { ready_[id / 64] |= uint64_t{1} << (id % 64); }
+  void ClearReady(int id) { ready_[id / 64] &= ~(uint64_t{1} << (id % 64)); }
+  void Replenish(Server& s);
   void QuantumTick(int pcpu_id);
   // Preempt the PCPU running the lowest-priority work if `vcpu` beats it.
   void TickleFor(Vcpu* vcpu);
   Vcpu* PickBestEffort(Pcpu* pcpu);
 
   ServerEdfConfig config_;
-  std::unordered_map<const Vcpu*, Server> servers_;
-  std::vector<Vcpu*> all_vcpus_;
+  // Indexed by Vcpu::global_id() and grown in VcpuInserted. Ids are assigned
+  // at creation and the machine inserts each VCPU right after, so ascending
+  // id order is insertion order.
+  std::vector<Server> servers_;
+  size_t num_servers_ = 0;
+  // Bit `id` is set when servers_[id] may be eligible: every server with
+  // budget > 0 whose VCPU is not blocked has its bit set; a set bit may be
+  // stale. VcpuWake (with budget) and Replenish (unblocked) set bits;
+  // VcpuRemoved and PickNext clear them, PickNext only for a depleted server
+  // (only Replenish restores budget) or a blocked VCPU (only VcpuWake wakes
+  // one). A superset is always safe, so a future restore path must mark
+  // every bit set; ServerEdf is not checkpointable today.
+  std::vector<uint64_t> ready_;
+  std::vector<Vcpu*> all_vcpus_;  // Insertion order: the best-effort round-robin.
   std::vector<Simulator::EventId> quantum_ticks_;
   size_t be_cursor_ = 0;
   int tickle_cursor_ = 0;

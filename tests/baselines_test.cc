@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/baselines/credit.h"
 #include "src/baselines/server_edf.h"
+#include "src/common/rng.h"
+#include "src/hv/machine.h"
+#include "src/hv/pcpu.h"
+#include "src/hv/vm.h"
 #include "src/metrics/deadline_monitor.h"
 #include "src/runner/experiment.h"
 #include "src/workloads/periodic.h"
@@ -89,6 +96,183 @@ TEST(ServerEdf, DeferrableServerPreservesBudgetWhenIdle) {
   ASSERT_EQ(mon.total_completed(), 1u);
   EXPECT_EQ(mon.total_misses(), 0u);
   EXPECT_LE(mon.response_times_us().Max(), 4000.0);
+}
+
+// Forwards every hook to a ServerEdfScheduler and checks each PickNext, the
+// machine's own and the test's, against a test-local reference: the
+// all-VCPU linear scan in insertion order, with its own best-effort cursor.
+class OracleCheckedServerEdf : public HostScheduler {
+ public:
+  explicit OracleCheckedServerEdf(ServerEdfConfig config)
+      : config_(config), inner_(std::make_unique<ServerEdfScheduler>(config)) {}
+
+  std::string_view name() const override { return "server-gedf-oracle"; }
+  void Attach(Machine* machine) override {
+    HostScheduler::Attach(machine);
+    inner_->Attach(machine);
+  }
+  void VcpuInserted(Vcpu* vcpu) override {
+    vcpus_.push_back(vcpu);
+    inner_->VcpuInserted(vcpu);
+  }
+  void VcpuRemoved(Vcpu* vcpu) override {
+    vcpus_.erase(std::find(vcpus_.begin(), vcpus_.end(), vcpu));
+    inner_->VcpuRemoved(vcpu);
+  }
+  void VcpuWake(Vcpu* vcpu) override { inner_->VcpuWake(vcpu); }
+  void VcpuBlock(Vcpu* vcpu) override { inner_->VcpuBlock(vcpu); }
+  void AccountRun(Vcpu* vcpu, TimeNs ran) override { inner_->AccountRun(vcpu, ran); }
+  ScheduleDecision PickNext(Pcpu* pcpu) override {
+    ScheduleDecision want = ReferencePick(pcpu);
+    ScheduleDecision got = inner_->PickNext(pcpu);
+    ++picks;
+    server_picks += got.next != nullptr && inner_->ServerOf(got.next) != nullptr ? 1 : 0;
+    best_effort_picks += got.next != nullptr && inner_->ServerOf(got.next) == nullptr ? 1 : 0;
+    if ((got.next != want.next || got.run_until != want.run_until) && mismatches++ == 0) {
+      first_mismatch = "t=" + std::to_string(machine_->sim()->Now()) + " pcpu " +
+                       std::to_string(pcpu->id()) + ": picked " + Name(got.next) + " until " +
+                       std::to_string(got.run_until) + ", reference " + Name(want.next) +
+                       " until " + std::to_string(want.run_until);
+    }
+    return got;
+  }
+
+  ServerEdfScheduler* inner() { return inner_.get(); }
+
+  uint64_t picks = 0;
+  uint64_t server_picks = 0;
+  uint64_t best_effort_picks = 0;
+  uint64_t mismatches = 0;
+  std::string first_mismatch;
+
+ private:
+  static std::string Name(const Vcpu* v) { return v == nullptr ? "idle" : v->name(); }
+
+  ScheduleDecision ReferencePick(Pcpu* pcpu) {
+    TimeNs now = machine_->sim()->Now();
+    const ServerEdfScheduler::Server* best = nullptr;
+    for (Vcpu* v : vcpus_) {
+      const ServerEdfScheduler::Server* s = inner_->ServerOf(v);
+      if (s == nullptr || s->budget <= 0) {
+        continue;
+      }
+      if (!v->runnable() && !(v->running() && v->pcpu() == pcpu)) {
+        continue;
+      }
+      if (best == nullptr || s->deadline <= best->deadline) {
+        best = s;
+      }
+    }
+    if (best != nullptr) {
+      TimeNs horizon = best->budget;
+      if (config_.quantum > 0) {
+        horizon = (horizon + config_.quantum - 1) / config_.quantum * config_.quantum;
+      }
+      return {best->vcpu, now + horizon};
+    }
+    size_t n = vcpus_.size();
+    for (size_t i = 0; i < n; ++i) {
+      Vcpu* v = vcpus_[(cursor_ + i) % n];
+      if (inner_->ServerOf(v) != nullptr) {
+        continue;
+      }
+      if (!v->runnable() && !(v->running() && v->pcpu() == pcpu)) {
+        continue;
+      }
+      cursor_ = (cursor_ + i + 1) % n;
+      return {v, now + config_.best_effort_quantum};
+    }
+    return {nullptr, kTimeNever};
+  }
+
+  ServerEdfConfig config_;
+  std::unique_ptr<ServerEdfScheduler> inner_;
+  std::vector<Vcpu*> vcpus_;
+  size_t cursor_ = 0;
+};
+
+class NullClient : public VcpuClient {
+ public:
+  void OnVcpuGranted(Vcpu* vcpu) override { (void)vcpu; }
+  void OnVcpuRevoked(Vcpu* vcpu) override { (void)vcpu; }
+};
+
+ServerParams RandomServer(Rng& rng) {
+  // Few distinct periods, all configured at t=0: deadlines tie often.
+  TimeNs period = Ms(rng.UniformInt(2, 4));
+  return ServerParams{Us(rng.UniformInt(50, 400)), period};
+}
+
+// Drives 70 VCPUs (the ready mask spans two words) on 3 PCPUs through
+// seeded wakes, blocks, simulated runs (dispatches, budget depletion,
+// replenishments, quantum ticks), direct AccountRun depletion, server
+// reconfiguration and one removal, with one best-effort VCPU. After every
+// step each PCPU's pick is compared with the reference.
+void RunPickOracle(TimeNs quantum) {
+  constexpr int kVcpus = 70;
+  constexpr int kBestEffort = 33;
+  ServerEdfConfig cfg;
+  cfg.pick_cost = 0;
+  cfg.quantum = quantum;
+  Simulator sim;
+  Machine machine(&sim, ZeroCostMachine(3));
+  auto checked = std::make_unique<OracleCheckedServerEdf>(cfg);
+  OracleCheckedServerEdf* sched = checked.get();
+  machine.SetScheduler(std::move(checked));
+  NullClient client;
+  Vm* vm = machine.AddVm("rig");
+  Rng rng(quantum + 20180423);
+  for (int i = 0; i < kVcpus; ++i) {
+    Vcpu* v = vm->AddVcpu();
+    v->set_client(&client);
+    if (i != kBestEffort) {
+      sched->inner()->SetServer(v, RandomServer(rng));
+    }
+  }
+  machine.Start();
+  int removed = -1;
+  for (int step = 0; step < 6000; ++step) {
+    int idx = static_cast<int>(rng.UniformInt(0, kVcpus - 1));
+    if (idx == removed) {
+      idx = (idx + 1) % kVcpus;
+    }
+    Vcpu* v = vm->vcpu(idx);
+    int op = static_cast<int>(rng.UniformInt(0, 19));
+    if (step == 3000) {
+      removed = 64;  // A server in the mask's second word.
+      vm->vcpu(removed)->Block();
+      sched->VcpuRemoved(vm->vcpu(removed));
+    } else if (op < 5) {
+      v->Wake();
+    } else if (op < 10) {
+      v->Block();
+    } else if (op < 15) {
+      sim.RunUntil(sim.Now() + Us(rng.UniformInt(0, 400)));
+    } else if (op < 18) {
+      sched->AccountRun(v, Us(rng.UniformInt(0, 600)));
+    } else if (op < 19) {
+      if (idx != kBestEffort) {
+        sched->inner()->SetServer(v, RandomServer(rng));
+      }
+    } else {
+      vm->vcpu(kBestEffort)->Wake();
+    }
+    for (int p = 0; p < machine.num_pcpus(); ++p) {
+      sched->PickNext(machine.pcpu(p));
+    }
+    ASSERT_EQ(sched->mismatches, 0u) << "step " << step << ": " << sched->first_mismatch;
+  }
+  // The run both chose servers and fell through to the best-effort VCPU.
+  EXPECT_GT(sched->server_picks, 1000u);
+  EXPECT_GT(sched->best_effort_picks, 0u);
+  EXPECT_LT(sched->server_picks + sched->best_effort_picks, sched->picks);
+}
+
+TEST(ServerEdf, PickMatchesLinearScanOracle) {
+  for (TimeNs quantum : {TimeNs{0}, Ms(1)}) {
+    SCOPED_TRACE("quantum " + std::to_string(quantum));
+    RunPickOracle(quantum);
+  }
 }
 
 TEST(Credit, WeightsShareProportionally) {
