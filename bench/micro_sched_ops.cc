@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/analysis/carts.h"
+#include "src/common/bandwidth.h"
 #include "src/perf/perf_recorder.h"
 #include "src/perf/perf_report.h"
 #include "src/rtvirt/wrap_layout.h"
@@ -57,8 +58,14 @@ void BM_WrapLayout(benchmark::State& state) {
     // ~50% total utilization spread over the items, capped at one PCPU each.
     items.push_back(WrapItem{i, std::min(slice, slice * 15 / (2 * n))});
   }
+  // One reused buffer set, as DP-WRAP's replan keeps: steady state allocates
+  // nothing.
+  std::vector<int64_t> speeds(15, Bandwidth::kUnit);
+  WrapBuffers buf;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(WrapAround(items, slice, 15));
+    buf.fill.assign(speeds.size(), 0);
+    WrapAround(items, slice, speeds, buf);
+    benchmark::DoNotOptimize(buf.segments.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

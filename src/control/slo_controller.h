@@ -32,7 +32,6 @@
 #define SRC_CONTROL_SLO_CONTROLLER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -186,6 +185,8 @@ class SloController : public JobObserver, public EventOwner {
     explicit Tenant(const WindowedQuantile::Options& w) : window(w) {}
   };
 
+  // Index of the tenant watching `task`, or tenants_.size() if none.
+  size_t IndexOf(const Task* task) const;
   void OnEvent(uint32_t, uint64_t) override { Tick(); }
   void Tick();
   void Decide(Tenant& t, TimeNs now);
@@ -205,8 +206,7 @@ class SloController : public JobObserver, public EventOwner {
 
   Simulator* sim_;
   ControlConfig config_;
-  std::vector<Tenant> tenants_;
-  std::unordered_map<const Task*, size_t> by_task_;
+  std::vector<Tenant> tenants_;  // Few per controller: looked up by linear scan.
   ControlStats stats_;
   bool armed_ = false;
 };

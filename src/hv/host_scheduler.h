@@ -35,7 +35,9 @@ class HostScheduler {
   // Called once when installed into a machine.
   virtual void Attach(Machine* machine) { machine_ = machine; }
 
-  // VCPU lifecycle (also used for CPU hotplug).
+  // VCPU lifecycle. Machine calls VcpuInserted when a VCPU is created but
+  // never calls VcpuRemoved: VCPU hot-unplug is not modelled, so the removal
+  // paths run only when called directly, as tests do.
   virtual void VcpuInserted(Vcpu* vcpu) = 0;
   virtual void VcpuRemoved(Vcpu* vcpu) = 0;
 

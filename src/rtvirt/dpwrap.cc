@@ -511,102 +511,61 @@ void DpWrapScheduler::Replan() {
     vcpu_segments_[v->global_id()].push_back(ps);
   };
 
-  // Degraded machines (pcpu_recovery only) take the heterogeneous layout
-  // path below; a healthy machine always takes the exact nominal path.
-  bool degraded = false;
+  // Plan in *effective* (full-speed-equivalent) ns, then stretch to wall-clock
+  // segments (the identity at full speed): the carries track the fluid
+  // schedule across healthy and degraded slices alike. Without pcpu_recovery
+  // every core plans at full speed, faults or not (the frozen layout).
+  int pcpus = machine_->num_pcpus();
+  speeds_.assign(pcpus, Bandwidth::kUnit);
   if (config_.pcpu_recovery.enabled) {
-    for (int k = 0; k < machine_->num_pcpus(); ++k) {
+    for (int k = 0; k < pcpus; ++k) {
       const Pcpu* pc = machine_->pcpu(k);
-      if (!pc->online() || pc->speed_ppb() != Bandwidth::kUnit) {
-        degraded = true;
-        break;
-      }
+      speeds_[k] = pc->online() ? pc->speed_ppb() : 0;
     }
   }
-
-  std::vector<TimeNs>& occupied = occupied_;
-  std::vector<Reservation*>& wrapped = wrapped_;
-  std::vector<WrapItem>& items = items_;
-  occupied.assign(machine_->num_pcpus(), 0);
-  wrapped.clear();
-  items.clear();
-  if (!degraded) {
-    // Affinity-pinned reservations first, at the head of their PCPU's chunk:
-    // they never migrate and never split (paper section 6).
-    for (int id : layout_order_) {
-      Reservation* res = &*reservations_[id];
-      if (res->affinity < 0) {
-        wrapped.push_back(res);
-        continue;
-      }
-      int pcpu = res->affinity;
-      TimeNs alloc = take_alloc(res, slice_len - occupied[pcpu]);
-      if (alloc > 0) {
-        emit(res->vcpu, pcpu, occupied[pcpu], occupied[pcpu] + alloc);
-        occupied[pcpu] += alloc;
-      }
+  std::vector<TimeNs>& occupied = wrap_buffers_.fill;
+  occupied.assign(pcpus, 0);
+  wrapped_.clear();
+  items_.clear();
+  auto eff_free = [&](int k) -> TimeNs {
+    if (speeds_[k] <= 0 || occupied[k] >= slice_len) {
+      return 0;
     }
-
-    // Everything else wraps into the remaining space (McNaughton).
-    TimeNs free_total = 0;
-    for (TimeNs occ : occupied) {
-      free_total += slice_len - occ;
+    return SpeedWallToWork(slice_len - occupied[k], speeds_[k]);
+  };
+  // Affinity-pinned reservations first, at the head of their PCPU's chunk:
+  // they never migrate and never split (paper section 6).
+  for (int id : layout_order_) {
+    Reservation* res = &*reservations_[id];
+    int pcpu = res->affinity;
+    if (pcpu < 0 || speeds_[pcpu] <= 0) {
+      // A pin to a dead core cannot hold: evacuate into the wrap. The pin
+      // itself persists (res->affinity untouched) and re-applies on heal.
+      wrapped_.push_back(res);
+      continue;
     }
-    TimeNs allocated = 0;
-    for (size_t i = 0; i < wrapped.size(); ++i) {
-      // The carries can overshoot capacity by < n ns; trim the tail.
-      TimeNs alloc = take_alloc(wrapped[i], std::min(slice_len, free_total - allocated));
-      allocated += alloc;
-      items.push_back(WrapItem{static_cast<int>(i), alloc});
+    TimeNs alloc = take_alloc(res, eff_free(pcpu));
+    if (alloc > 0) {
+      TimeNs wall = SpeedWorkToWall(alloc, speeds_[pcpu]);
+      emit(res->vcpu, pcpu, occupied[pcpu], occupied[pcpu] + wall);
+      occupied[pcpu] += wall;
     }
-    WrapAroundFrom(items, slice_len, occupied, wrap_buffers_);
-  } else {
-    // Degraded layout: plan in *effective* (full-speed-equivalent) ns
-    // against the surviving cores, then stretch back to wall-clock segments.
-    // take_alloc stays in effective ns, so the carry accumulators keep
-    // tracking the fluid schedule across healthy and degraded slices alike.
-    std::vector<int64_t>& speeds = speeds_;
-    speeds.assign(machine_->num_pcpus(), 0);
-    for (int k = 0; k < machine_->num_pcpus(); ++k) {
-      const Pcpu* pc = machine_->pcpu(k);
-      speeds[k] = pc->online() ? pc->speed_ppb() : 0;
-    }
-    auto eff_free = [&](int k) -> TimeNs {
-      if (speeds[k] <= 0 || occupied[k] >= slice_len) {
-        return 0;
-      }
-      return SpeedWallToWork(slice_len - occupied[k], speeds[k]);
-    };
-    for (int id : layout_order_) {
-      Reservation* res = &*reservations_[id];
-      int pcpu = res->affinity;
-      if (pcpu < 0 || speeds[pcpu] <= 0) {
-        // A pin to a dead core cannot hold: evacuate into the wrap. The pin
-        // itself persists (res->affinity untouched) and re-applies on heal.
-        wrapped.push_back(res);
-        continue;
-      }
-      TimeNs alloc = take_alloc(res, eff_free(pcpu));
-      if (alloc > 0) {
-        TimeNs wall = SpeedWorkToWall(alloc, speeds[pcpu]);
-        emit(res->vcpu, pcpu, occupied[pcpu], occupied[pcpu] + wall);
-        occupied[pcpu] += wall;
-      }
-    }
-    TimeNs free_total = 0;
-    for (int k = 0; k < machine_->num_pcpus(); ++k) {
-      free_total += eff_free(k);
-    }
-    TimeNs allocated = 0;
-    for (size_t i = 0; i < wrapped.size(); ++i) {
-      TimeNs alloc = take_alloc(wrapped[i], std::min(slice_len, free_total - allocated));
-      allocated += alloc;
-      items.push_back(WrapItem{static_cast<int>(i), alloc});
-    }
-    WrapAroundDegraded(items, slice_len, occupied, speeds, wrap_buffers_);
   }
+  // Everything else wraps into the remaining space (McNaughton).
+  TimeNs free_total = 0;
+  for (int k = 0; k < pcpus; ++k) {
+    free_total += eff_free(k);
+  }
+  TimeNs allocated = 0;
+  for (size_t i = 0; i < wrapped_.size(); ++i) {
+    // The carries can overshoot capacity by < n ns; trim the tail.
+    TimeNs alloc = take_alloc(wrapped_[i], std::min(slice_len, free_total - allocated));
+    allocated += alloc;
+    items_.push_back(WrapItem{static_cast<int>(i), alloc});
+  }
+  WrapAround(items_, slice_len, speeds_, wrap_buffers_);
   for (const WrapSegment& seg : wrap_buffers_.segments) {
-    emit(wrapped[seg.item_id]->vcpu, seg.pcpu, seg.start, seg.end);
+    emit(wrapped_[seg.item_id]->vcpu, seg.pcpu, seg.start, seg.end);
   }
   // Host->guest notification of the slice allocation (Figure 2).
   for (const std::vector<PlanSegment>& segs : vcpu_segments_) {

@@ -362,8 +362,7 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   std::vector<std::vector<PlanSegment>> pcpu_plan_;  // Per PCPU.
   // Replan working storage, reused so that a steady-state replan allocates
   // nothing.
-  std::vector<TimeNs> occupied_;
-  std::vector<int64_t> speeds_;
+  std::vector<int64_t> speeds_;  // Per-PCPU layout speed, derived each replan.
   std::vector<Reservation*> wrapped_;
   std::vector<WrapItem> items_;
   WrapBuffers wrap_buffers_;

@@ -10,6 +10,7 @@
 #ifndef SRC_RTVIRT_WRAP_LAYOUT_H_
 #define SRC_RTVIRT_WRAP_LAYOUT_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,50 +32,42 @@ struct WrapSegment {
   bool operator==(const WrapSegment&) const = default;
 };
 
-// Caller-owned storage for WrapAroundFrom / WrapAroundDegraded. Each call
-// overwrites all three vectors, so one instance reused across calls keeps its
-// capacity and a steady-state layout allocates nothing.
+// Caller-owned storage for WrapAround. The caller sizes `fill` to one entry
+// per chunk and writes each chunk's occupied prefix there; the call lays out
+// from it and overwrites all three vectors, so one instance reused across
+// calls keeps its capacity and a steady-state layout allocates nothing.
 struct WrapBuffers {
   std::vector<WrapSegment> segments;  // The result.
-  std::vector<TimeNs> fill;           // Per-chunk fill level (working state).
+  std::vector<TimeNs> fill;           // Per-chunk fill level: occupied prefix in, end state out.
   std::vector<WrapItem> leftovers;    // Deferred remainders (working state).
 };
 
-// Lays `items` out over `pcpus` chunks of `slice_len`. Items with zero
-// allocation produce no segments. Precondition: sum of allocations
-// <= pcpus * slice_len and each allocation <= slice_len.
+// Lays `items` out over one chunk of `slice_len` per entry of `speed_ppb`,
+// chunk k starting after its occupied prefix `buf.fill[k]` (e.g., pinned
+// allocations), into `buf.segments`. Allocations are in *effective*
+// (full-speed-equivalent) ns; chunk k runs at speed_ppb[k] (Bandwidth::kUnit
+// = full speed, <= 0 = offline). Segments are wall-clock offsets within the
+// slice: E effective ns on a chunk at speed s occupy ceil(E/s) wall ns there.
+// Items with zero allocation produce no segments. Precondition: each
+// allocation <= slice_len, and their sum <= the chunks' effective free space.
 //
-// Guarantees (enforced by the property tests):
+// With every chunk at kUnit and nothing pre-occupied this is McNaughton's
+// layout, and the property tests enforce its guarantees:
 //   * per item, the segment lengths sum to its allocation;
 //   * per processor, segments are disjoint and within [0, slice_len];
 //   * a split item's two segments do not overlap in wall-clock time;
 //   * at most pcpus - 1 items are split.
-std::vector<WrapSegment> WrapAround(std::span<const WrapItem> items, TimeNs slice_len,
-                                    int pcpus);
-
-// Like WrapAround, but chunk k is already occupied up to `occupied[k]`
-// (e.g., by affinity-pinned allocations that must not migrate): wrapped
-// items are laid out in the remaining space only, into `buf.segments`.
-// Precondition: sum of allocations <= sum of free space.
-void WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len,
-                    std::span<const TimeNs> occupied, WrapBuffers& buf);
-
-// Heterogeneous-capacity variant for the PCPU fault/degradation model.
-// Item allocations are in *effective* (full-speed-equivalent) ns; chunk k
-// runs at speed_ppb[k] (Bandwidth::kUnit = full speed, <= 0 = offline — no
-// capacity) and is pre-occupied up to occupied[k] wall-clock ns. The
-// segments written to `buf.segments` are wall-clock offsets within the slice: a piece of E effective
-// ns on a chunk at speed s occupies ceil(E/s) wall ns there. Precondition:
-// sum of allocations <= sum of per-chunk effective free space (the caller
-// trims against Machine::EffectiveCapacity()); per-chunk floor rounding may
-// strand < 1 effective ns per chunk visit, which the caller's epsilon slack
-// absorbs. The straddle-safety and at-most-m-1-splits properties degrade to
+// Occupied prefixes keep the sums exact and the segments disjoint within
+// [fill[k], slice_len]; straddles that would self-overlap move on.
+//
+// With throttled or offline chunks, per-chunk floor rounding may strand < 1
+// effective ns per chunk visit, which the caller's epsilon slack absorbs.
+// The straddle-safety and at-most-m-1-splits properties degrade to
 // best-effort here: an item wider than any surviving chunk's effective
 // capacity must overlap itself in wall-clock time, and the dispatcher
 // serializes such pieces at runtime (bounded lag, nothing dropped).
-void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
-                        std::span<const TimeNs> occupied, std::span<const int64_t> speed_ppb,
-                        WrapBuffers& buf);
+void WrapAround(std::span<const WrapItem> items, TimeNs slice_len,
+                std::span<const int64_t> speed_ppb, WrapBuffers& buf);
 
 }  // namespace rtvirt
 

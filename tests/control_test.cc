@@ -265,6 +265,15 @@ TEST(SloController, RaisesReservationUnderLoadAndMeetsSlo) {
   EXPECT_EQ(rig.exp->controller()->unresolved_saturations(), 0u);
 }
 
+// A second Watch would make the controller its own downstream observer and
+// recurse on the next completion; it must fail loudly instead.
+TEST(SloControllerDeathTest, SecondWatchOfSameTaskFailsLoudly) {
+  ControlRig rig = MakeRig(500.0, FastControl());
+  EXPECT_DEATH(rig.exp->controller()->Watch(rig.tenant, rig.server->task(),
+                                            rig.exp->ChannelOf(rig.tenant)),
+               "task is already watched");
+}
+
 TEST(SloController, HysteresisHoldsWhenComfortable) {
   // 500 qps needs ~0.024 CPU; the default 0.058 reservation is comfortable,
   // so the controller must sit inside the band and never adjust.

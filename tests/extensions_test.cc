@@ -28,34 +28,12 @@ ExperimentConfig PureRtvirt(int pcpus) {
   return cfg;
 }
 
-// ---- WrapAroundFrom ----
-
-// Lays `items` out twice, with fresh buffers and with buffers left dirty by a
-// larger layout (more chunks, more items, second-pass leftovers); buffer
-// reuse must not change the result.
-std::vector<WrapSegment> LayoutFrom(const std::vector<WrapItem>& items, TimeNs slice_len,
-                                    const std::vector<TimeNs>& occupied) {
-  WrapBuffers fresh;
-  WrapAroundFrom(items, slice_len, occupied, fresh);
-
-  WrapBuffers dirty;
-  std::vector<WrapItem> larger;
-  for (int i = 0; i < 10; ++i) {
-    larger.push_back(WrapItem{i, 11});
-  }
-  std::vector<TimeNs> larger_occupied{0, 0, 11, 0, 11, 11, 0, 11};
-  WrapAroundFrom(larger, 20, larger_occupied, dirty);
-  EXPECT_FALSE(dirty.leftovers.empty()) << "the dirtying layout must take the second pass";
-  EXPECT_GT(dirty.segments.size(), fresh.segments.size());
-  WrapAroundFrom(items, slice_len, occupied, dirty);
-  EXPECT_EQ(dirty.segments, fresh.segments);
-  return fresh.segments;
-}
+// ---- Wrap layout after occupied prefixes ----
 
 TEST(WrapAroundFrom, RespectsOccupiedPrefixes) {
   std::vector<WrapItem> items{{0, 50}, {1, 80}};
   std::vector<TimeNs> occupied{40, 20};
-  auto segs = LayoutFrom(items, 100, occupied);
+  auto segs = LayoutTwice(items, 100, occupied);
   std::map<int, TimeNs> per_item;
   for (const auto& s : segs) {
     EXPECT_GE(s.start, occupied[s.pcpu]);
@@ -70,7 +48,7 @@ TEST(WrapAroundFrom, SplitPiecesDoNotOverlapInTime) {
   // Item 1 must straddle; verify its pieces are disjoint in wall-clock time.
   std::vector<WrapItem> items{{0, 70}, {1, 50}};
   std::vector<TimeNs> occupied{0, 0, 0};
-  auto segs = LayoutFrom(items, 100, occupied);
+  auto segs = LayoutTwice(items, 100, occupied);
   std::vector<WrapSegment> item1;
   for (const auto& s : segs) {
     if (s.item_id == 1) {
@@ -94,7 +72,7 @@ TEST(WrapAroundFrom, MovesToNextChunkWhenStraddleWouldOverlap) {
   // -> ends on chunk2 cleanly.
   std::vector<WrapItem> items{{0, 40}};
   std::vector<TimeNs> occupied{90, 75, 0};
-  auto segs = LayoutFrom(items, 100, occupied);
+  auto segs = LayoutTwice(items, 100, occupied);
   TimeNs total = 0;
   for (const auto& s : segs) {
     total += s.end - s.start;
@@ -113,7 +91,7 @@ TEST(WrapAroundFrom, LastResortPlacesEverythingEvenWhenFragmented) {
   // must still be placed (overlap allowed as a documented degradation).
   std::vector<WrapItem> items{{0, 11}, {1, 11}, {2, 11}, {3, 11}};
   std::vector<TimeNs> occupied{0, 0, 11};  // slice 20: free 20+20+9 = 49.
-  auto segs = LayoutFrom(items, 20, occupied);
+  auto segs = LayoutTwice(items, 20, occupied);
   std::map<int, TimeNs> per_item;
   for (const auto& s : segs) {
     per_item[s.item_id] += s.end - s.start;

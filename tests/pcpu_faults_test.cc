@@ -169,36 +169,12 @@ TEST(PcpuFaults, SpeedChangeRevokesAndUpdatesEffectiveCapacity) {
 
 // ---- Degraded wrap layout ----
 
-// Lays `items` out twice, with fresh buffers and with buffers left dirty by a
-// larger degraded layout (more chunks, more items, second-pass leftovers);
-// buffer reuse must not change the result.
-std::vector<WrapSegment> LayoutDegraded(const std::vector<WrapItem>& items, TimeNs slice_len,
-                                        const std::vector<TimeNs>& occupied,
-                                        const std::vector<int64_t>& speeds) {
-  WrapBuffers fresh;
-  WrapAroundDegraded(items, slice_len, occupied, speeds, fresh);
-
-  WrapBuffers dirty;
-  std::vector<WrapItem> larger;
-  for (int i = 0; i < 10; ++i) {
-    larger.push_back(WrapItem{i, 11});
-  }
-  std::vector<TimeNs> larger_occupied{0, 0, 11, 0, 11, 11, 0, 11};
-  std::vector<int64_t> larger_speeds(8, Bandwidth::kUnit);
-  WrapAroundDegraded(larger, 20, larger_occupied, larger_speeds, dirty);
-  EXPECT_FALSE(dirty.leftovers.empty()) << "the dirtying layout must take the second pass";
-  EXPECT_GT(dirty.segments.size(), fresh.segments.size());
-  WrapAroundDegraded(items, slice_len, occupied, speeds, dirty);
-  EXPECT_EQ(dirty.segments, fresh.segments);
-  return fresh.segments;
-}
-
 TEST(WrapAroundDegraded, SkipsDeadCoresAndStretchesThrottledOnes) {
   // 3 cores: full, dead, half speed. 2 items of 1 ms effective each.
   std::vector<WrapItem> items{{0, Ms(1)}, {1, Ms(1)}};
   std::vector<TimeNs> occupied{0, 0, 0};
   std::vector<int64_t> speeds{Bandwidth::kUnit, 0, Bandwidth::kUnit / 2};
-  std::vector<WrapSegment> segs = LayoutDegraded(items, Ms(2), occupied, speeds);
+  std::vector<WrapSegment> segs = LayoutTwice(items, Ms(2), occupied, speeds);
 
   std::vector<TimeNs> fill(3, 0);
   std::vector<TimeNs> eff(2, 0);
@@ -222,9 +198,12 @@ TEST(WrapAroundDegraded, AllFullSpeedMatchesHomogeneousLayout) {
   std::vector<WrapItem> items{{0, Us(700)}, {1, Us(600)}, {2, Us(400)}};
   std::vector<TimeNs> occupied{Us(100), 0};
   std::vector<int64_t> speeds{Bandwidth::kUnit, Bandwidth::kUnit};
-  WrapBuffers homogeneous;
-  WrapAroundFrom(items, Ms(1), occupied, homogeneous);
-  EXPECT_EQ(LayoutDegraded(items, Ms(1), occupied, speeds), homogeneous.segments);
+  // The segments the former homogeneous-only layout produced for this case.
+  std::vector<WrapSegment> homogeneous{{0, 0, Us(100), Us(800)},
+                                       {1, 0, Us(800), Ms(1)},
+                                       {1, 1, 0, Us(400)},
+                                       {2, 1, Us(400), Us(800)}};
+  EXPECT_EQ(LayoutTwice(items, Ms(1), occupied, speeds), homogeneous);
 }
 
 TEST(WrapAroundDegraded, HeterogeneousSpeedsConserveEffectiveSupply) {
@@ -239,7 +218,7 @@ TEST(WrapAroundDegraded, HeterogeneousSpeedsConserveEffectiveSupply) {
     items.push_back(WrapItem{i, each});
   }
   std::vector<TimeNs> occupied(4, 0);
-  std::vector<WrapSegment> segs = LayoutDegraded(items, slice, occupied, speeds);
+  std::vector<WrapSegment> segs = LayoutTwice(items, slice, occupied, speeds);
 
   std::vector<TimeNs> fill(4, 0);
   std::vector<TimeNs> eff(5, 0);

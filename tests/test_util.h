@@ -1,13 +1,18 @@
 // Shared test helpers: trivial host schedulers that isolate guest-level
-// logic from host-level scheduling policy.
+// logic from host-level scheduling policy, and a wrap-layout driver.
 
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "src/common/bandwidth.h"
 #include "src/hv/machine.h"
+#include "src/rtvirt/wrap_layout.h"
 
 namespace rtvirt {
 
@@ -59,6 +64,36 @@ inline MachineConfig ZeroCostMachine(int pcpus) {
   cfg.migration_cost = 0;
   cfg.hypercall_cost = 0;
   return cfg;
+}
+
+// Lays `items` out with WrapAround after the `occupied` prefixes, at
+// `speeds` (empty = every chunk at full speed). It lays them out twice, with
+// fresh buffers and with buffers left dirty by a larger layout (more chunks,
+// more items, second-pass leftovers); buffer reuse must not change the result.
+inline std::vector<WrapSegment> LayoutTwice(const std::vector<WrapItem>& items,
+                                            TimeNs slice_len,
+                                            const std::vector<TimeNs>& occupied,
+                                            std::vector<int64_t> speeds = {}) {
+  if (speeds.empty()) {
+    speeds.assign(occupied.size(), Bandwidth::kUnit);
+  }
+  WrapBuffers fresh;
+  fresh.fill = occupied;
+  WrapAround(items, slice_len, speeds, fresh);
+
+  WrapBuffers dirty;
+  std::vector<WrapItem> larger;
+  for (int i = 0; i < 10; ++i) {
+    larger.push_back(WrapItem{i, 11});
+  }
+  dirty.fill = {0, 0, 11, 0, 11, 11, 0, 11};
+  WrapAround(larger, 20, std::vector<int64_t>(8, Bandwidth::kUnit), dirty);
+  EXPECT_FALSE(dirty.leftovers.empty()) << "the dirtying layout must take the second pass";
+  EXPECT_GT(dirty.segments.size(), fresh.segments.size());
+  dirty.fill = occupied;
+  WrapAround(items, slice_len, speeds, dirty);
+  EXPECT_EQ(dirty.segments, fresh.segments);
+  return fresh.segments;
 }
 
 }  // namespace rtvirt

@@ -6,24 +6,43 @@
 #include <set>
 #include <vector>
 
+#include "src/common/bandwidth.h"
 #include "src/common/rng.h"
 
 namespace rtvirt {
 namespace {
 
-// Checks all DP-WRAP layout invariants for a given item set.
-void CheckInvariants(const std::vector<WrapItem>& items, TimeNs slice_len, int pcpus) {
-  auto segments = WrapAround(items, slice_len, pcpus);
+// Lays `items` out over `pcpus` chunks at full speed after the `occupied`
+// prefixes (none by default: McNaughton's layout, the one DP-WRAP's replan
+// runs on a healthy machine).
+std::vector<WrapSegment> Layout(const std::vector<WrapItem>& items, TimeNs slice_len, int pcpus,
+                                const std::vector<TimeNs>& occupied = {}) {
+  WrapBuffers buf;
+  buf.fill = occupied;
+  buf.fill.resize(pcpus, 0);
+  WrapAround(items, slice_len, std::vector<int64_t>(pcpus, Bandwidth::kUnit), buf);
+  return buf.segments;
+}
+
+// Checks the layout invariants for a given item set at full speed. With no
+// `occupied` prefixes these are all of DP-WRAP's McNaughton invariants,
+// including the m-1 split bound; with prefixes, the exact sums and disjoint
+// segments within [occupied[k], slice_len].
+void CheckInvariants(const std::vector<WrapItem>& items, TimeNs slice_len, int pcpus,
+                     std::vector<TimeNs> occupied = {}) {
+  bool mcnaughton = occupied.empty();
+  occupied.resize(pcpus, 0);
+  std::vector<WrapSegment> segments = Layout(items, slice_len, pcpus, occupied);
 
   // Per-item totals match allocations.
   std::map<int, TimeNs> per_item;
   std::map<int, std::vector<WrapSegment>> item_segments;
   for (const WrapSegment& s : segments) {
     EXPECT_LT(s.start, s.end);
-    EXPECT_GE(s.start, 0);
-    EXPECT_LE(s.end, slice_len);
     EXPECT_GE(s.pcpu, 0);
-    EXPECT_LT(s.pcpu, pcpus);
+    ASSERT_LT(s.pcpu, pcpus);
+    EXPECT_GE(s.start, occupied[s.pcpu]);
+    EXPECT_LE(s.end, slice_len);
     per_item[s.item_id] += s.end - s.start;
     item_segments[s.item_id].push_back(s);
   }
@@ -44,6 +63,9 @@ void CheckInvariants(const std::vector<WrapItem>& items, TimeNs slice_len, int p
     }
   }
 
+  if (!mcnaughton) {
+    return;
+  }
   // Split items: at most pcpus-1, pieces on distinct PCPUs with no
   // wall-clock overlap.
   int splits = 0;
@@ -61,19 +83,19 @@ void CheckInvariants(const std::vector<WrapItem>& items, TimeNs slice_len, int p
 }
 
 TEST(WrapLayout, EmptyItems) {
-  EXPECT_TRUE(WrapAround(std::vector<WrapItem>{}, Us(250), 4).empty());
+  EXPECT_TRUE(Layout({}, Us(250), 4).empty());
 }
 
 TEST(WrapLayout, ZeroAllocationProducesNoSegments) {
   std::vector<WrapItem> items{{0, 0}, {1, Us(100)}, {2, 0}};
-  auto segs = WrapAround(items, Us(250), 2);
+  auto segs = Layout(items, Us(250), 2);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].item_id, 1);
 }
 
 TEST(WrapLayout, SingleItemFullSlice) {
   std::vector<WrapItem> items{{7, Us(250)}};
-  auto segs = WrapAround(items, Us(250), 3);
+  auto segs = Layout(items, Us(250), 3);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].pcpu, 0);
   EXPECT_EQ(segs[0].start, 0);
@@ -83,7 +105,7 @@ TEST(WrapLayout, SingleItemFullSlice) {
 TEST(WrapLayout, ExactPackNoSplits) {
   // Items exactly filling each chunk never split.
   std::vector<WrapItem> items{{0, 100}, {1, 100}, {2, 100}};
-  auto segs = WrapAround(items, 100, 3);
+  auto segs = Layout(items, 100, 3);
   ASSERT_EQ(segs.size(), 3u);
   for (const auto& s : segs) {
     EXPECT_EQ(s.end - s.start, 100);
@@ -94,7 +116,7 @@ TEST(WrapLayout, ExactPackNoSplits) {
 TEST(WrapLayout, StraddlingItemSplitsWithoutTimeOverlap) {
   std::vector<WrapItem> items{{0, 70}, {1, 60}, {2, 40}};
   CheckInvariants(items, 100, 2);
-  auto segs = WrapAround(items, 100, 2);
+  auto segs = Layout(items, 100, 2);
   // Item 1 straddles the cut: [70,100) on pcpu0 and [0,30) on pcpu1.
   ASSERT_EQ(segs.size(), 4u);
   EXPECT_EQ(segs[1].item_id, 1);
@@ -114,6 +136,18 @@ TEST(WrapLayout, FullUtilizationManyItems) {
   CheckInvariants(items, 300, 15);
 }
 
+// Random items of at most one slice each, summing to at most `budget`.
+std::vector<WrapItem> RandomItems(Rng& rng, TimeNs slice, TimeNs budget) {
+  int n = static_cast<int>(rng.UniformInt(0, 40));
+  std::vector<WrapItem> items;
+  for (int i = 0; i < n && budget > 0; ++i) {
+    TimeNs alloc = rng.UniformInt(0, std::min(slice, budget));
+    items.push_back({i, alloc});
+    budget -= alloc;
+  }
+  return items;
+}
+
 class WrapLayoutRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WrapLayoutRandomTest, InvariantsHoldOnRandomItemSets) {
@@ -121,15 +155,19 @@ TEST_P(WrapLayoutRandomTest, InvariantsHoldOnRandomItemSets) {
   for (int iter = 0; iter < 50; ++iter) {
     int pcpus = static_cast<int>(rng.UniformInt(1, 16));
     TimeNs slice = rng.UniformInt(1000, 1000000);
-    int n = static_cast<int>(rng.UniformInt(0, 40));
-    std::vector<WrapItem> items;
-    TimeNs budget = slice * pcpus;
-    for (int i = 0; i < n && budget > 0; ++i) {
-      TimeNs alloc = rng.UniformInt(0, std::min(slice, budget));
-      items.push_back({i, alloc});
-      budget -= alloc;
+    CheckInvariants(RandomItems(rng, slice, slice * pcpus), slice, pcpus);
+  }
+  // The same at full speed after random occupied prefixes.
+  for (int iter = 0; iter < 50; ++iter) {
+    int pcpus = static_cast<int>(rng.UniformInt(1, 16));
+    TimeNs slice = rng.UniformInt(1000, 1000000);
+    std::vector<TimeNs> occupied;
+    TimeNs free_space = 0;
+    for (int k = 0; k < pcpus; ++k) {
+      occupied.push_back(rng.UniformInt(0, slice));
+      free_space += slice - occupied.back();
     }
-    CheckInvariants(items, slice, pcpus);
+    CheckInvariants(RandomItems(rng, slice, free_space), slice, pcpus, occupied);
   }
 }
 
